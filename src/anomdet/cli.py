@@ -118,7 +118,10 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------ data loading
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
+def _load_dataset(cfg: RunConfig, split: str | None = None) -> Dataset:
+    """The configured dataset. On directory data, `split` limits ingestion
+    to that split; synthetic sets are always generated whole, because both
+    splits come from one seeded stream."""
     if cfg.data_root.startswith("synthetic:"):
         shape = cfg.data_root.split(":", 1)[1]
         return generate_synthetic_set(
@@ -135,7 +138,9 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
         root = Path(env)
     else:
         root = Path(cfg.data_root)
-    ds = load_image_dir(root, cfg.class_name, allow_png=cfg.allow_png, seed=cfg.seed)
+    ds = load_image_dir(
+        root, cfg.class_name, allow_png=cfg.allow_png, seed=cfg.seed, split=split
+    )
     return preprocess(ds, cfg.image_size, cfg.grayscale)
 
 
@@ -340,7 +345,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     cfg = _load_run_config(run_dir)
     if cfg.model == "dcgan":
         raise ConfigError("dcgan runs have no detection metrics; use `generate`")
-    ds = _load_dataset(cfg)
+    split = ns.split
+    # the test-split noise selection counts test samples only, so loading
+    # just the scored split perturbs the same images with the same draws
+    ds = _load_dataset(cfg, split)
     if cfg.noise_test:
         ds, _ = inject_gaussian_noise(
             ds, cfg.noise_fraction, cfg.noise_mean, cfg.noise_variance,
@@ -349,7 +357,6 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     model = load_model(run_dir / "checkpoint.anom")
     _expect_kind(model, cfg.model)
 
-    split = ns.split
     samples = ds.split_samples(split)
     if not samples:
         raise DataError(f"no samples in split {split!r}")
@@ -576,10 +583,6 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-
-
-def console_main() -> None:  # the installed `anomdet` script
-    sys.exit(main())
 
 
 if __name__ == "__main__":

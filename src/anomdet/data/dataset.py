@@ -86,20 +86,30 @@ def _to_unit_float(u8: np.ndarray) -> np.ndarray:
     return f.transpose(2, 0, 1)[None]
 
 
-def load_image_dir(root: str | Path, class_name: str, allow_png: bool = False, seed: int = 0) -> Dataset:
+def load_image_dir(
+    root: str | Path,
+    class_name: str,
+    allow_png: bool = False,
+    seed: int = 0,
+    split: str | None = None,
+) -> Dataset:
     """Ingest one class directory in the layout above.
 
     Files are visited in lexicographic order (subfolders, then names) so
     sample order is stable across filesystems. Undecodable files warn and
-    increment `skipped`; the run continues.
+    increment `skipped`; the run continues. With `split` ("train" or
+    "test") only that split's folders are read; the samples are the ones
+    a full load holds for that split, in the same order.
     """
+    if split not in (None, "train", "test"):
+        raise DataError(f"split must be 'train' or 'test', got {split!r}")
     base = Path(root) / class_name
     if not base.is_dir():
         raise DataError(f"class directory not found: {base}")
     samples: list[ImageSample] = []
     skipped = 0
 
-    def ingest(directory: Path, label: str, defect_kind: str, split: str):
+    def ingest(directory: Path, label: str, defect_kind: str, sample_split: str):
         nonlocal skipped
         for f in sorted(directory.iterdir()):
             if not f.is_file() or f.suffix.lower() not in IMAGE_SUFFIXES:
@@ -111,18 +121,19 @@ def load_image_dir(root: str | Path, class_name: str, allow_png: bool = False, s
                 skipped += 1
                 continue
             samples.append(
-                ImageSample(_to_unit_float(u8), label, defect_kind, split, str(f))
+                ImageSample(_to_unit_float(u8), label, defect_kind, sample_split, str(f))
             )
 
-    train_good = base / "train" / "good"
-    if not train_good.is_dir():
-        raise DataError(f"missing train/good directory under {base}")
-    ingest(train_good, "good", "", "train")
-    if not any(s.split == "train" for s in samples):
-        raise DataError(f"no training images under {train_good}")
+    if split in (None, "train"):
+        train_good = base / "train" / "good"
+        if not train_good.is_dir():
+            raise DataError(f"missing train/good directory under {base}")
+        ingest(train_good, "good", "", "train")
+        if not samples:
+            raise DataError(f"no training images under {train_good}")
 
     test_dir = base / "test"
-    if test_dir.is_dir():
+    if split in (None, "test") and test_dir.is_dir():
         for sub in sorted(p for p in test_dir.iterdir() if p.is_dir()):
             if sub.name == "good":
                 ingest(sub, "good", "", "test")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,7 +153,8 @@ class EvalReport:
                 "fn": self.confusion.fn,
             },
             "f1": self.f1,
-            "roc_auc": self.roc_auc,
+            # NaN (single-class split) is not JSON; null stands for it
+            "roc_auc": None if math.isnan(self.roc_auc) else self.roc_auc,
             "dataset_name": self.dataset_name,
             "seed": self.seed,
             "threshold_info": self.threshold_info,
@@ -183,7 +185,7 @@ class EvalReport:
         return cls(
             confusion=conf,
             f1=payload["f1"],
-            roc_auc=payload["roc_auc"],
+            roc_auc=float("nan") if payload["roc_auc"] is None else payload["roc_auc"],
             dataset_name=payload["dataset_name"],
             seed=payload["seed"],
             threshold_info=payload["threshold_info"],

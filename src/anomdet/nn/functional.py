@@ -6,7 +6,16 @@ differences, adjointness) can pass float64 and gets float64 math.
 
 Convolutions go through im2col so the heavy lifting is one matmul;
 col2im is its exact adjoint, which is also what makes conv2d_transpose
-the exact adjoint of conv2d for identical hyperparameters.
+the exact adjoint of conv2d for identical hyperparameters. Both walk the
+kernel taps with strided slices: im2col copies each patch once into one
+buffer, col2im adds each tap back.
+
+Max pooling reads the four strided quarter-slices of its input (one per
+window position) and caches its input and output, not an index array;
+the backward pass finds each window's first maximum again by comparison.
+The results are bit for bit those of an argmax over each window, ties
+and NaNs included; tests/oracles.py keeps that argmax kernel as the
+reference.
 """
 
 from __future__ import annotations
@@ -46,20 +55,21 @@ def conv_transpose_out_extent(extent: int, kernel: int, stride: int, padding: in
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Unfold (N,C,H,W) into (N, C*kh*kw, out_h*out_w) patch columns."""
+    """Unfold (N,C,H,W) into (N, C*kh*kw, out_h*out_w) patch columns.
+
+    One strided slice copy per kernel tap into a single buffer; the result
+    is a reshape view of that buffer, so every patch is copied exactly once.
+    """
     n, c, h, w = x.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, oh * ow).copy(), oh, ow
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
@@ -166,34 +176,74 @@ def conv2d_transpose_backward(dy: np.ndarray, w: np.ndarray, cache):
 # maxpool2d (fixed 2x2 window, stride 2)
 
 
+def _quarters(x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+    """The four strided views x[:, :, di::2, dj::2] of the pooled region, in
+    the window's row-major order (0,0), (0,1), (1,0), (1,1)."""
+    return [x[:, :, di : 2 * oh : 2, dj : 2 * ow : 2] for di in (0, 1) for dj in (0, 1)]
+
+
+def _first_max(quarters: list[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
+    """One mask per quarter, true where that quarter holds its window's
+    first element equal to the window maximum y (the first NaN where y is
+    NaN). Every window is true in exactly one mask."""
+    y_nan = np.isnan(y)
+    any_nan = y_nan.any()
+    free = np.ones(y.shape, dtype=bool)  # windows whose first maximum is still ahead
+    masks = []
+    for q in quarters[:-1]:
+        hit = q == y
+        if any_nan:
+            hit |= y_nan & np.isnan(q)
+        hit &= free
+        np.greater(free, hit, out=free)  # free &= ~hit
+        masks.append(hit)
+    masks.append(free)
+    return masks
+
+
+def _has_negative_zero(x: np.ndarray) -> bool:
+    bits = np.array(-0.0, dtype=x.dtype).view(f"u{x.itemsize}")
+    return bool((x.view(bits.dtype) == bits).any())
+
+
 def maxpool2d(x: np.ndarray, allow_odd: bool = False):
     """2x2/stride-2 max pooling. Odd extents error unless allow_odd, which
-    floors the output extent (the trailing row/column is not pooled)."""
+    floors the output extent (the trailing row/column is not pooled).
+
+    Each output is its window's first maximum in row-major order, the
+    element `argmax` picks: the earliest of tied values and the first NaN
+    if the window has one. Values that compare equal have equal bits except
+    -0.0/+0.0 and NaNs, so np.maximum over the four quarter-slices is that
+    element unless x holds a -0.0 or a NaN (np.maximum passes NaNs on, so
+    y shows one); then the first maximum is selected by mask.
+    """
     _require_rank4(x, "maxpool2d")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if (h % 2 or w % 2) and not allow_odd:
         raise ShapeError(f"maxpool2d: odd extent {h}x{w}; pass allow_odd to floor")
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool2d: extent {h}x{w} smaller than 2x2 window")
-    oh, ow = h // 2, w // 2
-    windows = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
-    windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-    idx = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    cache = (idx, x.shape)
-    return y, cache
+    quarters = _quarters(x, h // 2, w // 2)
+    y = np.maximum(quarters[0], quarters[1])
+    np.maximum(y, quarters[2], out=y)
+    np.maximum(y, quarters[3], out=y)
+    if np.isnan(y).any() or _has_negative_zero(x):
+        for q, hit in zip(quarters, _first_max(quarters, y)):
+            np.copyto(y, q, where=hit)
+    return y, (x, y)
 
 
 def maxpool2d_backward(dy: np.ndarray, cache):
-    idx, x_shape = cache
-    n, c, h, w = x_shape
-    oh, ow = h // 2, w // 2
-    dwin = np.zeros((n, c, oh, ow, 4), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :, : 2 * oh, : 2 * ow] = (
-        dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
-    )
+    """Route each output gradient to its window's first maximum, the
+    element maxpool2d took; every other element of dx is +0.0."""
+    x, y = cache
+    oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    bits = f"u{dy.itemsize}"
+    for dq, hit in zip(_quarters(dx, oh, ow), _first_max(_quarters(x, oh, ow), y)):
+        # dy's bit pattern times 0 or 1: an exact copy of dy (NaN, inf and
+        # -0.0 included) where hit, +0.0 elsewhere
+        np.multiply(dy.view(bits), hit, out=dq.view(bits))
     return dx
 
 

@@ -2,12 +2,16 @@
 
 Everything here is written the slow, obvious way — explicit nested loops,
 scalar accumulation — so the fast vectorized code has something honest to
-be checked against. Nothing in src/ imports this module.
+be checked against. It also keeps earlier vectorized kernels that their
+replacements must reproduce bit for bit. Nothing in src/ imports this
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from anomdet.errors import ShapeError
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0):
@@ -74,6 +78,58 @@ def maxpool2d_naive(x):
                         x[ni, ci, 2 * i + 1, 2 * j + 1],
                     )
     return y
+
+
+# Earlier vectorized kernels, kept verbatim: the slice kernels in
+# anomdet.nn.functional must reproduce them bit for bit.
+
+
+def im2col_strided(x, kh, kw, stride, padding):
+    """Unfold (N,C,H,W) into (N, C*kh*kw, out_h*out_w) patch columns."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sn, sc, sh, sw = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return view.reshape(n, c * kh * kw, oh * ow).copy(), oh, ow
+
+
+def maxpool2d_argmax(x, allow_odd=False):
+    """2x2/stride-2 max pooling through a transposed window copy and argmax."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d: expected rank-4 (N,C,H,W) input, got rank {x.ndim}")
+    n, c, h, w = x.shape
+    if (h % 2 or w % 2) and not allow_odd:
+        raise ShapeError(f"maxpool2d: odd extent {h}x{w}; pass allow_odd to floor")
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d: extent {h}x{w} smaller than 2x2 window")
+    oh, ow = h // 2, w // 2
+    windows = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
+    windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
+    idx = windows.argmax(axis=-1)
+    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    cache = (idx, x.shape)
+    return y, cache
+
+
+def maxpool2d_argmax_backward(dy, cache):
+    idx, x_shape = cache
+    n, c, h, w = x_shape
+    oh, ow = h // 2, w // 2
+    dwin = np.zeros((n, c, oh, ow, 4), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    dx[:, :, : 2 * oh, : 2 * ow] = (
+        dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
+    )
+    return dx
 
 
 def dense_naive(x, w, b):

@@ -13,6 +13,7 @@ import pytest
 
 from anomdet.cli import main
 from anomdet.data.codec import write_pgm
+from anomdet.metrics import EvalReport
 
 
 KD_ARGS = [
@@ -87,13 +88,63 @@ def test_eval_rerun_reproduces_report(kd_run):
     assert (kd_run / "report.json").read_bytes() == before
 
 
-def test_eval_train_split_single_class_gets_nan_auc(kd_run):
+def test_eval_train_split_single_class_gets_nan_auc(kd_run, tmp_path):
     assert main(["eval", "--run", str(kd_run), "--split", "train"]) == 0
-    rep = json.loads((kd_run / "report.json").read_text())
-    assert math.isnan(rep["roc_auc"])
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads((kd_run / "report.json").read_text(), parse_constant=refuse)
+    assert rep["roc_auc"] is None
     assert {r["label"] for r in rep["rows"]} == {"good"}
+    assert math.isnan(EvalReport.load(kd_run).roc_auc)
+    assert main(["report", str(kd_run), "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == "nan"
     # put the test-split report back for later tests
     assert main(["eval", "--run", str(kd_run)]) == 0
+
+
+def _write_widget_dir(root, size=32):
+    rng = np.random.default_rng(0)
+    for rel, n in {"train/good": 6, "test/good": 4, "test/scratch": 4}.items():
+        d = root / "widget" / rel
+        d.mkdir(parents=True)
+        for i in range(n):
+            write_pgm(d / f"{i:03d}.pgm", rng.integers(0, 256, (size, size), dtype=np.uint8))
+
+
+def test_eval_ingests_only_the_scored_split(tmp_path, monkeypatch):
+    import anomdet.cli as cli
+
+    _write_widget_dir(tmp_path / "data")
+    out = tmp_path / "run"
+    assert main([
+        "train", "--model", "ni-cae", "--data-root", str(tmp_path / "data"),
+        "--class-name", "widget", "--image-size", "32", "--epochs", "1",
+        "--batch-size", "4", "--noise-test", "on", "--noise-fraction", "0.5",
+        "--out", str(out),
+    ]) == 0
+
+    whole = cli.load_image_dir
+    loaded = []
+
+    def recording(*args, **kwargs):
+        ds = whole(*args, **kwargs)
+        loaded.append({s.split for s in ds.samples})
+        return ds
+
+    for split in ("test", "train"):
+        monkeypatch.setattr(cli, "load_image_dir", recording)
+        assert main(["eval", "--run", str(out), "--split", split]) == 0
+        assert loaded == [{split}]
+        loaded.clear()
+        scored = (out / "report.json").read_bytes()
+        # the same report as from the whole dataset, noise selection included
+        monkeypatch.setattr(cli, "load_image_dir",
+                            lambda *a, split=None, **k: whole(*a, **k))
+        assert main(["eval", "--run", str(out), "--split", split]) == 0
+        assert (out / "report.json").read_bytes() == scored
 
 
 def test_cnn_train_eval_roundtrip(tmp_path):

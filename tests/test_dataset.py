@@ -58,6 +58,26 @@ def test_loader_layout_and_labels(tmp_path):
     assert ds.skipped == 0
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_loader_reads_one_split(tmp_path, split):
+    make_class_dir(tmp_path)
+    whole = load_image_dir(tmp_path, "widget").split_samples(split)
+    part = load_image_dir(tmp_path, "widget", split=split).samples
+    assert [s.source_path for s in part] == [s.source_path for s in whole]
+    assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(part, whole))
+
+
+def test_loader_test_split_needs_no_train_folder(tmp_path):
+    base = make_class_dir(tmp_path)
+    for f in (base / "train" / "good").iterdir():
+        f.unlink()
+    assert len(load_image_dir(tmp_path, "widget", split="test").samples) == 5
+    with pytest.raises(DataError, match="no training images"):
+        load_image_dir(tmp_path, "widget", split="train")
+    with pytest.raises(DataError, match="split must be"):
+        load_image_dir(tmp_path, "widget", split="val")
+
+
 def test_loader_order_lexicographic(tmp_path):
     make_class_dir(tmp_path)
     ds = load_image_dir(tmp_path, "widget")
