@@ -21,14 +21,14 @@ from anomdet.pipelines import (
     build_ni_cae,
     calibrate_thresholds,
     decide_anomaly,
-    reconstruction_errors,
+    score_batch,
     train,
 )
 
 
 def test_f1(model, ds, thresholds) -> float:
     samples = ds.split_samples("test")
-    errs = reconstruction_errors(model, ds.stack("test"))
+    errs = score_batch(model, ds.stack("test"))[0]
     decisions = [decide_anomaly(float(e), None, thresholds) for e in errs]
     return f1_score(confusion_counts([s.label for s in samples], decisions))
 

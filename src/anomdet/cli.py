@@ -14,6 +14,7 @@ import csv
 import os
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ from .pipelines import (
     encode_latent,
     fit_kde,
     kde_log_densities,
-    reconstruction_errors,
+    score_batch,
     ssim,
     ssim_diff_image,
     train,
@@ -218,7 +219,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
     cfg = parse_config(ns.config, _collect_overrides(ns))
     out = cfg.resolved_out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    ds = _load_dataset(cfg)
+    # training reads only the train split; on directory data those samples
+    # come first either way, so the noise plan's indices do not move
+    ds = _load_dataset(cfg, "train")
     if cfg.noise_train:
         ds, plan = inject_gaussian_noise(
             ds, cfg.noise_fraction, cfg.noise_mean, cfg.noise_variance,
@@ -377,7 +380,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     else:
         rows, threshold_info = _score_cae(cfg, run_dir, model, x, paths, labels)
 
-    report = _build_report(rows, ds.class_name, cfg.seed, threshold_info)
+    report = EvalReport.from_rows(rows, ds.class_name, cfg.seed, threshold_info)
     report.save(run_dir)
     if cfg.model != "cnn" and ns.diagnostics > 0:
         _write_diagnostics(model, x, run_dir / "diagnostics", ns.diagnostics)
@@ -387,20 +390,32 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _load_kde(path: Path, model) -> KdeModel:
+    """The kd-cae training latents and bandwidth. A read or format failure,
+    or latents not as wide as the model's bottleneck, is a data error."""
+    if not path.is_file():
+        raise DataError(f"{path.parent} is missing kde.npz from training")
+    try:
+        with np.load(path) as blob:
+            kde = KdeModel(blob["latents"], float(blob["bandwidth"]))
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
+        detail = " ".join(str(e).split())
+        raise DataError(f"{path} is unreadable: {type(e).__name__}: {detail}") from None
+    width = int(np.prod(model.shapes[model.bottleneck + 1]))
+    if kde.latents.ndim != 2 or kde.latents.shape[1] != width:
+        raise DataError(f"{path} holds latents of shape {kde.latents.shape}, "
+                        f"not (n, {width}) as the model's bottleneck gives")
+    return kde
+
+
 def _score_cae(cfg: RunConfig, run_dir: Path, model, x, paths, labels):
     if cfg.thresholds != "fixed":
         raise ConfigError(
             "run has no calibrated thresholds; train writes them into config.cfg"
         )
-    errs = reconstruction_errors(model, x)
-    kde_vals = None
-    if cfg.model == "kd-cae":
-        kde_file = run_dir / "kde.npz"
-        if not kde_file.is_file():
-            raise DataError(f"{run_dir} is missing kde.npz from training")
-        blob = np.load(kde_file)
-        kde = KdeModel(blob["latents"], float(blob["bandwidth"]))
-        kde_vals = kde_log_densities(kde, encode_latent(model, x))
+    kde = _load_kde(run_dir / "kde.npz", model) if cfg.model == "kd-cae" else None
+    errs, latents = score_batch(model, x)
+    kde_vals = None if kde is None else kde_log_densities(kde, latents)
     ts = ThresholdSet(cfg.recon_threshold, cfg.kde_threshold, cfg.combine_rule)
     rows = []
     for i, (p, lab) in enumerate(zip(paths, labels)):
@@ -419,34 +434,15 @@ def _score_cae(cfg: RunConfig, run_dir: Path, model, x, paths, labels):
     }
     save_histogram(_score_groups(rows), run_dir, stem="recon_error")
     if kde_vals is not None:
-        kde_groups = {}
-        for row in rows:
-            kde_groups.setdefault(row["label"], []).append(row["kde_log_density"])
-        save_histogram(kde_groups, run_dir, stem="kde_log_density")
+        save_histogram(_score_groups(rows, "kde_log_density"), run_dir, stem="kde_log_density")
     return rows, threshold_info
 
 
-def _score_groups(rows) -> dict:
+def _score_groups(rows, key: str = "score") -> dict:
     groups: dict = {}
     for row in rows:
-        groups.setdefault(row["label"], []).append(row["score"])
+        groups.setdefault(row["label"], []).append(row[key])
     return groups
-
-
-def _build_report(rows, dataset_name, seed, threshold_info) -> EvalReport:
-    labels = {r["label"] for r in rows}
-    if len(labels) < 2:
-        # single-class split (e.g. --split train on good-only data): AUC is
-        # undefined, everything else still stands
-        from .metrics import ConfusionCounts, confusion_counts, f1_score
-
-        conf = confusion_counts([r["label"] for r in rows], [r["decision"] for r in rows])
-        return EvalReport(
-            confusion=conf, f1=f1_score(conf), roc_auc=float("nan"),
-            dataset_name=dataset_name, seed=seed,
-            threshold_info=dict(threshold_info), rows=[dict(r) for r in rows],
-        )
-    return EvalReport.from_rows(rows, dataset_name, seed, threshold_info)
 
 
 def _write_diagnostics(model, x, directory: Path, count: int) -> None:

@@ -116,14 +116,15 @@ class EvalReport:
 
     @classmethod
     def from_rows(cls, rows, dataset_name, seed, threshold_info):
+        """Report over scored rows. A single-class split (e.g. the good-only
+        train split) gets a NaN AUC; everything else still stands."""
         labels = [r["label"] for r in rows]
-        decisions = [r["decision"] for r in rows]
-        scores = [r["score"] for r in rows]
-        conf = confusion_counts(labels, decisions)
+        conf = confusion_counts(labels, [r["decision"] for r in rows])
+        auc = roc_auc([r["score"] for r in rows], labels) if len(set(labels)) > 1 else math.nan
         return cls(
             confusion=conf,
             f1=f1_score(conf),
-            roc_auc=roc_auc(scores, labels),
+            roc_auc=auc,
             dataset_name=dataset_name,
             seed=seed,
             threshold_info=dict(threshold_info),
@@ -131,12 +132,9 @@ class EvalReport:
         )
 
     def recompute(self) -> tuple[float, float]:
-        """(f1, roc_auc) from the stored raw rows."""
-        conf = confusion_counts(
-            [r["label"] for r in self.rows], [r["decision"] for r in self.rows]
-        )
-        return f1_score(conf), roc_auc([r["score"] for r in self.rows],
-                                       [r["label"] for r in self.rows])
+        """(f1, roc_auc) from the stored raw rows, the way from_rows computes them."""
+        again = self.from_rows(self.rows, self.dataset_name, self.seed, self.threshold_info)
+        return again.f1, again.roc_auc
 
     # -- persistence -----------------------------------------------------
 

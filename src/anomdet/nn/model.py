@@ -196,9 +196,11 @@ class ModelGraph:
 
     # -- execution ----------------------------------------------------
 
-    def forward(self, x: np.ndarray, mode: str = "eval", caches: list | None = None):
+    def forward(self, x: np.ndarray, mode: str = "eval", caches: list | None = None,
+                latent: list | None = None):
         """Run the stack. Pass a list for `caches` to retain what backward
-        needs; without it the pass is inference-only."""
+        needs; without it the pass is inference-only. A list passed as
+        `latent` gets the output of layer `bottleneck` appended."""
         want_rank = len(self.input_shape) + 1
         if x.ndim != want_rank:
             raise ShapeError(
@@ -217,6 +219,8 @@ class ModelGraph:
                 raise ShapeError(f"layer {i} ({spec.kind}): {e}") from None
             if caches is not None:
                 caches.append(cache)
+            if latent is not None and i == self.bottleneck:
+                latent.append(out)
         return out
 
     def _forward_layer(self, i: int, spec: LayerSpec, x: np.ndarray, mode: str):

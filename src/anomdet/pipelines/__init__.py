@@ -21,8 +21,7 @@ from .scoring import (
     fit_kde,
     kde_log_densities,
     kde_log_density,
-    reconstruction_error,
-    reconstruction_errors,
+    score_batch,
 )
 from .ssim import ssim, ssim_diff_image
 from .training import EarlyStopper, EpochRecord, TrainHistory, train
@@ -45,8 +44,7 @@ __all__ = [
     "fit_kde",
     "kde_log_densities",
     "kde_log_density",
-    "reconstruction_error",
-    "reconstruction_errors",
+    "score_batch",
     "ssim",
     "ssim_diff_image",
     "EarlyStopper",

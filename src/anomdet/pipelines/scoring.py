@@ -8,33 +8,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import COMBINE_RULES
 from ..errors import ConfigError, DataError, ShapeError
 from ..nn import ModelGraph
 
-COMBINE_RULES = ("recon_only", "kde_only", "or", "and")
 KDE_LOG_FLOOR = -1e12
 
 
-def reconstruction_errors(model: ModelGraph, x: np.ndarray, batch_size: int = 16) -> np.ndarray:
-    """Per-sample mean squared reconstruction error, float64, shape (N,)."""
+def score_batch(
+    model: ModelGraph, x: np.ndarray, batch_size: int = 16
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample mean squared reconstruction error, float64, shape (N,),
+    and the flattened bottleneck activations, shape (N, d), from one
+    forward pass per batch. Latents are None when the model has no
+    designated bottleneck layer."""
     if x.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) batch, got rank {x.ndim}")
-    out = np.empty(x.shape[0], dtype=np.float64)
+    errors = np.empty(x.shape[0], dtype=np.float64)
+    latent = None if model.bottleneck is None else []
     for i in range(0, x.shape[0], batch_size):
         xb = x[i : i + batch_size]
-        recon = model.forward(xb, mode="eval")
+        recon = model.forward(xb, mode="eval", latent=latent)
         if recon.shape != xb.shape:
             raise ShapeError(
                 f"reconstruction shape {recon.shape} does not match input {xb.shape}"
             )
         diff = recon.astype(np.float64) - xb.astype(np.float64)
-        out[i : i + xb.shape[0]] = np.mean(diff * diff, axis=(1, 2, 3))
-    return out
-
-
-def reconstruction_error(model: ModelGraph, image: np.ndarray) -> float:
-    """Scalar reconstruction error of one (1,C,H,W) image."""
-    return float(reconstruction_errors(model, image)[0])
+        errors[i : i + xb.shape[0]] = np.mean(diff * diff, axis=(1, 2, 3))
+    latents = None if latent is None else np.concatenate([z.reshape(len(z), -1) for z in latent])
+    return errors, latents
 
 
 def encode_latent(model: ModelGraph, x: np.ndarray, batch_size: int = 16) -> np.ndarray:
@@ -183,11 +185,11 @@ def calibrate_thresholds(
         raise DataError("cannot calibrate on an empty validation set")
     if not 0.0 <= percentile <= 100.0:
         raise ConfigError(f"percentile must be in [0,100], got {percentile}")
-    errors = reconstruction_errors(model, val_x)
+    errors, latents = score_batch(model, val_x)
     tau_re = float(np.percentile(errors, percentile))
     tau_kd = None
     if kde is not None:
-        dens = kde_log_densities(kde, encode_latent(model, val_x))
+        dens = kde_log_densities(kde, latents)
         tau_kd = float(np.percentile(dens, 100.0 - percentile))
     if combine_rule is None:
         combine_rule = "or" if kde is not None else "recon_only"

@@ -132,6 +132,29 @@ def maxpool2d_argmax_backward(dy, cache):
     return dx
 
 
+# The two-pass CAE scoring that score_batch replaced, kept verbatim:
+# score_batch must reproduce its errors and latents bit for bit.
+
+
+def two_pass_scores(model, x, batch_size=16):
+    """(errors, latents): a full forward per batch for the mean squared
+    reconstruction errors, then a second pass through the encoder
+    (forward_to the bottleneck) for the flattened latent codes."""
+    errors = np.empty(x.shape[0], dtype=np.float64)
+    for i in range(0, x.shape[0], batch_size):
+        xb = x[i : i + batch_size]
+        recon = model.forward(xb, mode="eval")
+        diff = recon.astype(np.float64) - xb.astype(np.float64)
+        errors[i : i + xb.shape[0]] = np.mean(diff * diff, axis=(1, 2, 3))
+    if model.bottleneck is None:
+        return errors, None
+    chunks = []
+    for i in range(0, x.shape[0], batch_size):
+        z = model.forward_to(model.bottleneck, x[i : i + batch_size], mode="eval")
+        chunks.append(z.reshape(z.shape[0], -1))
+    return errors, np.concatenate(chunks, axis=0)
+
+
 def dense_naive(x, w, b):
     n, d = x.shape
     u = w.shape[0]

@@ -42,7 +42,7 @@ from anomdet.pipelines import (
     encode_latent,
     fit_kde,
     kde_log_densities,
-    reconstruction_errors,
+    score_batch,
     ssim,
     train,
 )
@@ -286,7 +286,7 @@ def _good_train_val(ds, seed):
 def _test_f1(model, ds, thresholds, kde=None):
     samples = ds.split_samples("test")
     x = ds.stack("test")
-    errs = reconstruction_errors(model, x)
+    errs = score_batch(model, x)[0]
     kvals = kde_log_densities(kde, encode_latent(model, x)) if kde is not None else None
     decisions = [
         decide_anomaly(float(errs[i]), None if kvals is None else float(kvals[i]), thresholds)
@@ -445,7 +445,7 @@ def test_a8_determinism_and_persistence(criterion, tmp_path):
     ts = calibrate_thresholds(model, vx, kde=kde, percentile=95.0, combine_rule="or")
 
     tx = ds.stack("test")
-    errs = reconstruction_errors(model, tx)
+    errs = score_batch(model, tx)[0]
     dens = kde_log_densities(kde, encode_latent(model, tx))
     labels = [s.label for s in ds.split_samples("test")]
     f1 = f1_score(confusion_counts(
@@ -455,7 +455,7 @@ def test_a8_determinism_and_persistence(criterion, tmp_path):
     path = tmp_path / "model.anom"
     save_model(model, path)
     reloaded = load_model(path)
-    errs2 = reconstruction_errors(reloaded, tx)
+    errs2 = score_batch(reloaded, tx)[0]
     dens2 = kde_log_densities(KdeModel(kde.latents, kde.bandwidth),
                               encode_latent(reloaded, tx))
     f1_2 = f1_score(confusion_counts(

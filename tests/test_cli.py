@@ -147,6 +147,44 @@ def test_eval_ingests_only_the_scored_split(tmp_path, monkeypatch):
         assert (out / "report.json").read_bytes() == scored
 
 
+def test_train_ingests_only_the_train_split(tmp_path, monkeypatch, capsys):
+    import anomdet.cli as cli
+
+    _write_widget_dir(tmp_path / "data")
+    out = tmp_path / "run"
+    args = [
+        "train", "--model", "kd-cae", "--data-root", str(tmp_path / "data"),
+        "--class-name", "widget", "--image-size", "32", "--epochs", "1",
+        "--batch-size", "4", "--noise-train", "on", "--noise-fraction", "0.5",
+        "--out", str(out),
+    ]
+    whole = cli.load_image_dir
+    loaded = []
+
+    def recording(*args, **kwargs):
+        ds = whole(*args, **kwargs)
+        loaded.append({s.split for s in ds.samples})
+        return ds
+
+    def written():
+        return {name: (out / name).read_bytes()
+                for name in ("checkpoint.anom", "kde.npz", "noise_plan.csv", "config.cfg")}
+
+    monkeypatch.setattr(cli, "load_image_dir", recording)
+    assert main(args) == 0
+    assert loaded == [{"train"}]
+    trained = written()
+    # the same run directory as from the whole dataset, noise plan included
+    monkeypatch.setattr(cli, "load_image_dir", lambda *a, split=None, **k: whole(*a, **k))
+    assert main(args) == 0
+    assert written() == trained
+
+    cnn = ["train", "--model", "cnn", *args[3:-2], "--out", str(tmp_path / "cnn")]
+    capsys.readouterr()
+    assert main(cnn) == 2  # directory data holds no train defects either way
+    assert "cnn training needs both classes in the train split" in capsys.readouterr().err
+
+
 def test_cnn_train_eval_roundtrip(tmp_path):
     out = tmp_path / "cnn"
     rc = main([
@@ -218,6 +256,33 @@ def test_model_kind_mismatch_is_config_error(kd_run, tmp_path):
     text = (clone / "config.cfg").read_text()
     (clone / "config.cfg").write_text(text.replace("model = kd-cae", "model = ni-cae"))
     assert main(["eval", "--run", str(clone)]) == 1
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "wrong_dim"])
+def test_corrupt_kde_state_is_data_error(kd_run, tmp_path, monkeypatch, capsys, damage):
+    import anomdet.cli as cli
+
+    clone = tmp_path / "damaged"
+    clone.mkdir()
+    for name in ("config.cfg", "checkpoint.anom", "kde.npz"):
+        (clone / name).write_bytes((kd_run / name).read_bytes())
+    kde_file = clone / "kde.npz"
+    if damage == "truncated":
+        kde_file.write_bytes(kde_file.read_bytes()[:200])
+    elif damage == "missing_key":
+        np.savez(kde_file, bandwidth=1.0)
+    else:
+        np.savez(kde_file, latents=np.zeros((3, 5)), bandwidth=1.0)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before the kde state was checked")
+
+    monkeypatch.setattr(cli, "score_batch", no_scoring)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(clone)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(kde_file) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_noise_train_writes_plan(tmp_path):

@@ -1,5 +1,6 @@
 """Evaluation metrics against loop oracles and algebraic identities."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,15 @@ def test_report_from_rows():
     rep = EvalReport.from_rows(_rows(), "synthetic", 7, {"rule": "or"})
     assert rep.confusion == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
     assert rep.f1 == f1_score(rep.confusion)
+
+
+def test_report_single_class_has_nan_auc():
+    rows = [r for r in _rows() if r["label"] == "good"]
+    rep = EvalReport.from_rows(rows, "synthetic", 7, {"rule": "or"})
+    assert rep.confusion.total == len(rows)
+    assert math.isnan(rep.roc_auc)
+    f1_again, auc_again = rep.recompute()
+    assert f1_again == rep.f1 and math.isnan(auc_again)
 
 
 def test_report_round_trip_reproduces_metrics(tmp_path):

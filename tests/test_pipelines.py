@@ -19,10 +19,11 @@ from anomdet.pipelines import (
     decide_anomaly,
     encode_latent,
     fit_kde,
-    reconstruction_error,
-    reconstruction_errors,
+    score_batch,
     train,
 )
+
+from oracles import two_pass_scores
 
 # ---------------------------------------------------------------- builders
 
@@ -132,14 +133,15 @@ def test_latent_differs_after_input_perturbation():
 # ---------------------------------------------------------------- training
 
 
-def tiny_cae(seed=0):
+def tiny_cae(seed=0, bottleneck=None):
     specs = [
         LayerSpec("conv2d", filters=4, kernel=3, stride=2, padding=1),
         LayerSpec("activation", activation="relu"),
         LayerSpec("conv2d_transpose", filters=1, kernel=4, stride=2, padding=1),
         LayerSpec("activation", activation="sigmoid"),
     ]
-    return ModelGraph(specs, (1, 8, 8), rng_seed=seed, model_kind="tiny")
+    return ModelGraph(specs, (1, 8, 8), rng_seed=seed, model_kind="tiny",
+                      bottleneck=bottleneck)
 
 
 def test_train_zero_epochs_leaves_model_unchanged():
@@ -195,7 +197,7 @@ def test_train_overfits_eight_images():
     ds = generate_synthetic_set("disk", 8, 1, 0.0, 32, seed=13)
     x = ds.stack("train")
     m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=14)
-    untrained = reconstruction_errors(m, x).mean()
+    untrained = score_batch(m, x)[0].mean()
     hist = train(m, x, x, epochs=300, batch_size=4, loss_kind="mse",
                  learning_rate=2e-3, seed=15)
     assert hist.records[-1].train_loss < 0.005
@@ -222,15 +224,69 @@ def test_train_empty_set_rejected():
 def test_reconstruction_error_identity_model_is_zero():
     m = ModelGraph([], (1, 8, 8), rng_seed=0, model_kind="identity")
     x = np.random.default_rng(5).uniform(0, 1, (1, 1, 8, 8)).astype(np.float32)
-    assert reconstruction_error(m, x) == 0.0
+    assert score_batch(m, x)[0][0] == 0.0
 
 
 def test_reconstruction_errors_batch_matches_singles():
-    m = tiny_cae(seed=7)
     x = np.random.default_rng(6).uniform(0, 1, (5, 1, 8, 8)).astype(np.float32)
-    batch = reconstruction_errors(m, x)
-    singles = [reconstruction_error(m, x[i : i + 1]) for i in range(5)]
-    np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    for bottleneck in (None, 1):  # 1: the encoder's relu output
+        m = tiny_cae(seed=7, bottleneck=bottleneck)
+        batch, latents = score_batch(m, x)
+        singles = [score_batch(m, x[i : i + 1]) for i in range(5)]
+        np.testing.assert_allclose(batch, [e[0] for e, _ in singles], rtol=1e-12)
+        if bottleneck is None:
+            assert latents is None and all(z is None for _, z in singles)
+        else:
+            assert latents.shape == (5, 4 * 4 * 4)
+            np.testing.assert_allclose(
+                latents, np.concatenate([z for _, z in singles]), rtol=1e-12
+            )
+
+
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+@pytest.mark.parametrize("n", [1, 16, 37])
+@pytest.mark.parametrize("kind", ["kd-cae", "ni-cae", "no-bottleneck"])
+def test_score_batch_bitwise_equals_two_pass(kind, n):
+    if kind == "kd-cae":
+        m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=18)
+    elif kind == "ni-cae":
+        m = build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=18)
+    else:
+        m = tiny_cae(seed=18)
+    x = np.random.default_rng(n).uniform(0, 1, (n,) + m.input_shape).astype(np.float32)
+    errors, latents = score_batch(m, x)
+    ref_errors, ref_latents = two_pass_scores(m, x)
+    assert errors.dtype == np.float64
+    assert np.array_equal(_bits(errors), _bits(ref_errors))
+    if m.bottleneck is None:
+        assert latents is None and ref_latents is None
+    else:
+        width = int(np.prod(m.shapes[m.bottleneck + 1]))
+        assert latents.dtype == np.float32 and latents.shape == ref_latents.shape == (n, width)
+        assert np.array_equal(_bits(latents), _bits(ref_latents))
+
+
+def test_score_batch_runs_one_forward_per_batch(monkeypatch):
+    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=19)
+    calls = []
+
+    def counting(name):
+        method = getattr(m, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("forward", "forward_to"):
+        monkeypatch.setattr(m, name, counting(name))
+    x = np.random.default_rng(11).uniform(0, 1, (37, 1, 32, 32)).astype(np.float32)
+    score_batch(m, x)
+    assert calls == ["forward"] * 3  # ceil(37 / 16), no encoder-only pass
 
 
 def test_encode_latent_requires_bottleneck():
@@ -291,7 +347,7 @@ def test_calibrate_single_image_thresholds_equal_scores():
     x = np.random.default_rng(8).uniform(0, 1, (1, 1, 32, 32)).astype(np.float32)
     kde = fit_kde(encode_latent(m, x), bandwidth=1.0)
     ts = calibrate_thresholds(m, x, kde=kde, percentile=95.0)
-    np.testing.assert_allclose(ts.recon_threshold, reconstruction_error(m, x), rtol=1e-12)
+    np.testing.assert_allclose(ts.recon_threshold, score_batch(m, x)[0][0], rtol=1e-12)
     from anomdet.pipelines import kde_log_density
 
     np.testing.assert_allclose(
@@ -303,7 +359,7 @@ def test_calibrate_p100_is_max_error():
     m = tiny_cae(seed=8)
     x = np.random.default_rng(9).uniform(0, 1, (6, 1, 8, 8)).astype(np.float32)
     ts = calibrate_thresholds(m, x, percentile=100.0)
-    np.testing.assert_allclose(ts.recon_threshold, reconstruction_errors(m, x).max())
+    np.testing.assert_allclose(ts.recon_threshold, score_batch(m, x)[0].max())
     assert ts.combine_rule == "recon_only"
 
 
