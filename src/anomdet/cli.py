@@ -50,6 +50,7 @@ from .pipelines import (
     build_kd_cae,
     build_ni_cae,
     calibrate_thresholds,
+    classify_supervised,
     decide_anomaly,
     encode_latent,
     fit_kde,
@@ -368,11 +369,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     paths = [s.source_path for s in samples]
 
     if cfg.model == "cnn":
-        probs = model.forward(x, mode="eval")[:, 0]
+        decisions, probs = classify_supervised(model, x, cfg.cutoff)
         rows = [
-            {"path": p, "label": lab, "score": float(pr),
-             "decision": "defect" if pr >= cfg.cutoff else "good"}
-            for p, lab, pr in zip(paths, labels, probs)
+            {"path": p, "label": lab, "score": float(pr), "decision": dec}
+            for p, lab, pr, dec in zip(paths, labels, probs, decisions)
         ]
         threshold_info = {"rule": "cutoff", "cutoff": cfg.cutoff}
         groups = _score_groups(rows)

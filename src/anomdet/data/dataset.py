@@ -64,10 +64,6 @@ class Dataset:
             raise DataError(f"no samples in split {split!r}")
         return np.concatenate([s.pixels for s in chosen], axis=0)
 
-    def labels(self, split: str | None = None) -> list[str]:
-        chosen = self.samples if split is None else self.split_samples(split)
-        return [s.label for s in chosen]
-
 
 @dataclass(frozen=True)
 class NoisePlan:

@@ -18,14 +18,18 @@ def generate_samples(pair: GanPair, n: int, seed: int, out_dir=None) -> np.ndarr
 
     With `out_dir` set, each image is written as sample_XXX.pgm/.ppm under
     `out_dir`/samples plus one contact sheet at `out_dir`/sheet. n=0 yields
-    an empty batch and writes nothing.
+    an empty batch and writes nothing. The latents are drawn in one go and
+    forwarded `cfg.batch_size` at a time, so memory does not grow with n.
     """
     cfg = pair.config
     shape = (n, cfg.channels, cfg.image_size, cfg.image_size)
     if n == 0:
         return np.zeros(shape, dtype=np.float32)
     z = stream(seed, "gan-sample").standard_normal((n, cfg.z_dim)).astype(np.float32)
-    imgs = from_gan_range(pair.generator.forward(z, mode="eval"))
+    imgs = np.empty(shape, dtype=np.float32)
+    for i in range(0, n, cfg.batch_size):
+        imgs[i : i + cfg.batch_size] = from_gan_range(
+            pair.generator.forward(z[i : i + cfg.batch_size], mode="eval"))
     if out_dir is not None:
         out = Path(out_dir)
         sub = out / "samples"

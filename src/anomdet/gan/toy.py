@@ -68,9 +68,6 @@ class ToyDensityPair:
     p_data: GaussianMixture1D
     p_model: GaussianMixture1D
 
-    def grid(self, lo: float, hi: float, n: int) -> np.ndarray:
-        return np.linspace(lo, hi, n)
-
 
 def optimal_discriminator_oracle(toy: ToyDensityPair, x):
     """D*(x) = p_data / (p_data + p_model), defined as 1/2 where both vanish."""

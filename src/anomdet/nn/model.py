@@ -1,5 +1,9 @@
 """Layer specifications and the sequential model graph.
 
+A layer kind is one entry of `LAYERS`: its field checks, its shape rule,
+its weight layout, the names of the arrays it owns, and its forward and
+backward passes. The graph itself holds no per-kind code.
+
 A ModelGraph is an ordered list of LayerSpecs plus the parameter arrays
 they own. Shapes are inferred once at build time (per-sample, without the
 batch axis: (C, H, W) for image layers, (D,) after flatten), so incompatible
@@ -9,24 +13,13 @@ mid-training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..rng import stream
 from . import functional as F
-
-LAYER_KINDS = (
-    "conv2d",
-    "conv2d_transpose",
-    "maxpool2d",
-    "dense",
-    "activation",
-    "batchnorm",
-    "flatten",
-    "reshape",
-)
 
 
 @dataclass(frozen=True)
@@ -45,75 +38,146 @@ class LayerSpec:
     allow_odd: bool = False  # kind == "maxpool2d": floor odd extents
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYERS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("conv2d", "conv2d_transpose"):
-            if self.kernel < 1 or self.stride < 1 or self.padding < 0 or self.filters < 1:
-                raise ShapeError(
-                    f"{self.kind}: need kernel/stride/filters >= 1 and padding >= 0"
-                )
-        if self.kind == "dense" and self.units < 1:
-            raise ShapeError("dense: units must be >= 1")
-        if self.kind == "activation" and self.activation not in F.ACTIVATIONS:
-            raise ShapeError(
-                f"activation {self.activation!r} not in {F.ACTIVATIONS}"
-            )
-        if self.kind == "reshape" and len(self.target_shape) != 3:
-            raise ShapeError("reshape: target_shape must be (C, H, W)")
+        LAYERS[self.kind].check(self)
 
 
-def _infer_one(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Output feature shape of `spec` applied to per-sample `shape`."""
-    if spec.kind == "conv2d":
-        if len(shape) != 3:
-            raise ShapeError(f"conv2d expects (C,H,W) input, got {shape}")
-        c, h, w = shape
-        oh = F.conv_out_extent(h, spec.kernel, spec.stride, spec.padding)
-        ow = F.conv_out_extent(w, spec.kernel, spec.stride, spec.padding)
-        return (spec.filters, oh, ow)
-    if spec.kind == "conv2d_transpose":
-        if len(shape) != 3:
-            raise ShapeError(f"conv2d_transpose expects (C,H,W) input, got {shape}")
-        c, h, w = shape
-        oh = F.conv_transpose_out_extent(h, spec.kernel, spec.stride, spec.padding)
-        ow = F.conv_transpose_out_extent(w, spec.kernel, spec.stride, spec.padding)
-        return (spec.filters, oh, ow)
-    if spec.kind == "maxpool2d":
-        if len(shape) != 3:
-            raise ShapeError(f"maxpool2d expects (C,H,W) input, got {shape}")
-        c, h, w = shape
-        if (h % 2 or w % 2) and not spec.allow_odd:
-            raise ShapeError(f"maxpool2d: odd extent {h}x{w} without allow_odd")
-        if h < 2 or w < 2:
-            raise ShapeError(f"maxpool2d: extent {h}x{w} smaller than window")
-        return (c, h // 2, w // 2)
-    if spec.kind == "dense":
-        if len(shape) != 1:
-            raise ShapeError(f"dense expects flattened (D,) input, got {shape}")
-        return (spec.units,)
-    if spec.kind == "flatten":
-        return (int(np.prod(shape)),)
-    if spec.kind == "reshape":
-        want = int(np.prod(spec.target_shape))
-        have = int(np.prod(shape))
-        if want != have:
-            raise ShapeError(
-                f"reshape to {spec.target_shape} needs {want} values, have {have}"
-            )
-        return tuple(spec.target_shape)
-    # activation / batchnorm are shape-preserving
-    if spec.kind == "batchnorm" and len(shape) != 3:
-        raise ShapeError(f"batchnorm expects (C,H,W) input, got {shape}")
+class _Layer:
+    """One layer kind.
+
+    `forward(spec, x, arrays, mode)` returns (y, cache), `arrays` being the
+    layer's params then buffers in declared order, and `backward(spec, dy,
+    params, cache)` returns (dx, *param grads). Both look their kernel
+    up on `F` when called, so a patched or wrapped `functional` name reaches
+    every graph. `shape(spec, input shape)` gives the output shape and
+    `check(spec)` raises ShapeError on fields the kind cannot use. A kind
+    with `weight(spec, input shape) -> (w shape, fan_in, fan_out)` owns `w`
+    and a zero bias `b`, with He init before a ReLU and Glorot otherwise;
+    `fill` holds the start values of any other per-channel params and
+    buffers. `activates` marks the kind that applies `spec.activation`.
+    """
+
+    def __init__(self, forward, backward, shape=lambda s, shape: shape, check=lambda s: None,
+                 weight=None, params=(), buffers=(), fill=(), activates=False):
+        self.forward, self.backward, self.shape, self.check = forward, backward, shape, check
+        self.weight, self.params, self.buffers = weight, params, buffers
+        self.fill, self.activates = fill, activates
+
+
+def _image(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(shape) != 3:
+        raise ShapeError(f"{s.kind} expects (C,H,W) input, got {shape}")
     return shape
+
+
+def _check_conv(s: LayerSpec) -> None:
+    if s.kernel < 1 or s.stride < 1 or s.padding < 0 or s.filters < 1:
+        raise ShapeError(f"{s.kind}: need kernel/stride/filters >= 1 and padding >= 0")
+
+
+def _conv_shape(s: LayerSpec, shape: tuple[int, ...], extent) -> tuple[int, ...]:
+    _, h, w = _image(s, shape)
+    return (s.filters, *(extent(n, s.kernel, s.stride, s.padding) for n in (h, w)))
+
+
+def _conv_weight(s: LayerSpec, shape: tuple[int, ...], transposed: bool = False):
+    k2 = s.kernel * s.kernel
+    io = (shape[0], s.filters) if transposed else (s.filters, shape[0])
+    return io + (s.kernel, s.kernel), shape[0] * k2, s.filters * k2
+
+
+def _maxpool2d_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    c, h, w = _image(s, shape)
+    if (h % 2 or w % 2) and not s.allow_odd:
+        raise ShapeError(f"maxpool2d: odd extent {h}x{w} without allow_odd")
+    if h < 2 or w < 2:
+        raise ShapeError(f"maxpool2d: extent {h}x{w} smaller than window")
+    return (c, h // 2, w // 2)
+
+
+def _check_dense(s: LayerSpec) -> None:
+    if s.units < 1:
+        raise ShapeError("dense: units must be >= 1")
+
+
+def _dense_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(shape) != 1:
+        raise ShapeError(f"dense expects flattened (D,) input, got {shape}")
+    return (s.units,)
+
+
+def _check_activation(s: LayerSpec) -> None:
+    if s.activation not in F.ACTIVATIONS:
+        raise ShapeError(f"activation {s.activation!r} not in {F.ACTIVATIONS}")
+
+
+def _check_reshape(s: LayerSpec) -> None:
+    if len(s.target_shape) != 3:
+        raise ShapeError("reshape: target_shape must be (C, H, W)")
+
+
+def _reshape_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    want = int(np.prod(s.target_shape))
+    have = int(np.prod(shape))
+    if want != have:
+        raise ShapeError(f"reshape to {s.target_shape} needs {want} values, have {have}")
+    return tuple(s.target_shape)
+
+
+def _unshape(s, dy, a, cache):  # flatten / reshape backward: restore the input shape
+    return (dy.reshape(cache),)
+
+
+# The order gives each kind its code in model files: append, never reorder.
+LAYERS: dict[str, _Layer] = {
+    "conv2d": _Layer(
+        lambda s, x, a, mode: F.conv2d(x, a[0], a[1], s.stride, s.padding),
+        lambda s, dy, a, cache: F.conv2d_backward(dy, a[0], cache),
+        shape=lambda s, shape: _conv_shape(s, shape, F.conv_out_extent),
+        check=_check_conv, weight=_conv_weight, params=("w", "b")),
+    "conv2d_transpose": _Layer(
+        lambda s, x, a, mode: F.conv2d_transpose(x, a[0], a[1], s.stride, s.padding),
+        lambda s, dy, a, cache: F.conv2d_transpose_backward(dy, a[0], cache),
+        shape=lambda s, shape: _conv_shape(s, shape, F.conv_transpose_out_extent),
+        check=_check_conv, weight=lambda s, shape: _conv_weight(s, shape, transposed=True),
+        params=("w", "b")),
+    "maxpool2d": _Layer(
+        lambda s, x, a, mode: F.maxpool2d(x, allow_odd=s.allow_odd),
+        lambda s, dy, a, cache: (F.maxpool2d_backward(dy, cache),),
+        shape=_maxpool2d_shape),
+    "dense": _Layer(
+        lambda s, x, a, mode: F.dense(x, a[0], a[1]),
+        lambda s, dy, a, cache: F.dense_backward(dy, a[0], cache),
+        shape=_dense_shape, check=_check_dense, params=("w", "b"),
+        weight=lambda s, shape: ((s.units, shape[0]), shape[0], s.units)),
+    "activation": _Layer(
+        lambda s, x, a, mode: F.activate(x, s.activation),
+        lambda s, dy, a, cache: (F.activate_backward(dy, cache),),
+        check=_check_activation, activates=True),
+    "batchnorm": _Layer(
+        lambda s, x, a, mode: F.batchnorm(x, *a, mode=mode),
+        lambda s, dy, a, cache: F.batchnorm_backward(dy, cache),
+        shape=_image, params=("gamma", "beta"), buffers=("mean", "var"),
+        fill=(1.0, 0.0, 0.0, 1.0)),
+    "flatten": _Layer(
+        lambda s, x, a, mode: (x.reshape(x.shape[0], -1), x.shape),
+        _unshape, shape=lambda s, shape: (int(np.prod(shape)),)),
+    "reshape": _Layer(
+        lambda s, x, a, mode: (x.reshape((x.shape[0],) + s.target_shape), x.shape),
+        _unshape, shape=_reshape_shape, check=_check_reshape),
+}
+LAYER_KINDS = tuple(LAYERS)
 
 
 def _next_activation(specs: list[LayerSpec], i: int) -> str:
     """Name of the first activation after layer i, skipping shape-moving
-    layers; '' if another parametric layer (or the end) comes first."""
+    layers; '' if another weighted layer (or the end) comes first."""
     for spec in specs[i + 1 :]:
-        if spec.kind == "activation":
+        kind = LAYERS[spec.kind]
+        if kind.activates:
             return spec.activation
-        if spec.kind in ("conv2d", "conv2d_transpose", "dense"):
+        if kind.weight is not None:
             return ""
     return ""
 
@@ -144,55 +208,37 @@ class ModelGraph:
         self.buffers: dict[str, np.ndarray] = {}
         self.shapes = self._infer_shapes()
         self._init_params()
+        self._layers = []  # (spec, kind, param keys, buffer keys) per layer
+        for i, spec in enumerate(self.specs):
+            kind = LAYERS[spec.kind]
+            keys = [[f"{i}.{n}" for n in names] for names in (kind.params, kind.buffers)]
+            self._layers.append((spec, kind, *keys))
 
     # -- construction -------------------------------------------------
 
     def _infer_shapes(self) -> list[tuple[int, ...]]:
         shapes = [self.input_shape]
-        shape: tuple[int, ...] = self.input_shape
         for i, spec in enumerate(self.specs):
             try:
-                shape = _infer_one(spec, shape)
+                shapes.append(LAYERS[spec.kind].shape(spec, shapes[-1]))
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({spec.kind}): {e}") from None
-            shapes.append(shape)
         return shapes
 
     def _init_params(self) -> None:
         for i, spec in enumerate(self.specs):
-            in_shape = self.shapes[i]
-            rng = stream(self.rng_seed, f"init/{i}")
-            act = _next_activation(self.specs, i)
-            he = act in ("relu", "leaky_relu")
-            if spec.kind == "conv2d":
-                in_c = in_shape[0]
-                fan_in = in_c * spec.kernel * spec.kernel
-                fan_out = spec.filters * spec.kernel * spec.kernel
+            kind = LAYERS[spec.kind]
+            if kind.weight is not None:  # Glorot uniform, He before a ReLU
+                shape, fan_in, fan_out = kind.weight(spec, self.shapes[i])
+                he = _next_activation(self.specs, i) in ("relu", "leaky_relu")
                 limit = np.sqrt(6.0 / fan_in) if he else np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, (spec.filters, in_c, spec.kernel, spec.kernel))
+                w = stream(self.rng_seed, f"init/{i}").uniform(-limit, limit, shape)
                 self.params[f"{i}.w"] = w.astype(np.float32)
-                self.params[f"{i}.b"] = np.zeros(spec.filters, dtype=np.float32)
-            elif spec.kind == "conv2d_transpose":
-                in_c = in_shape[0]
-                fan_in = in_c * spec.kernel * spec.kernel
-                fan_out = spec.filters * spec.kernel * spec.kernel
-                limit = np.sqrt(6.0 / fan_in) if he else np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, (in_c, spec.filters, spec.kernel, spec.kernel))
-                self.params[f"{i}.w"] = w.astype(np.float32)
-                self.params[f"{i}.b"] = np.zeros(spec.filters, dtype=np.float32)
-            elif spec.kind == "dense":
-                fan_in = in_shape[0]
-                fan_out = spec.units
-                limit = np.sqrt(6.0 / fan_in) if he else np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, (spec.units, fan_in))
-                self.params[f"{i}.w"] = w.astype(np.float32)
-                self.params[f"{i}.b"] = np.zeros(spec.units, dtype=np.float32)
-            elif spec.kind == "batchnorm":
-                c = in_shape[0]
-                self.params[f"{i}.gamma"] = np.ones(c, dtype=np.float32)
-                self.params[f"{i}.beta"] = np.zeros(c, dtype=np.float32)
-                self.buffers[f"{i}.mean"] = np.zeros(c, dtype=np.float32)
-                self.buffers[f"{i}.var"] = np.ones(c, dtype=np.float32)
+                self.params[f"{i}.b"] = np.zeros(spec.filters or spec.units, dtype=np.float32)
+                continue
+            stores = [self.params] * len(kind.params) + [self.buffers] * len(kind.buffers)
+            for store, name, value in zip(stores, kind.params + kind.buffers, kind.fill):
+                store[f"{i}.{name}"] = np.full(self.shapes[i][0], value, dtype=np.float32)
 
     # -- execution ----------------------------------------------------
 
@@ -201,20 +247,30 @@ class ModelGraph:
         """Run the stack. Pass a list for `caches` to retain what backward
         needs; without it the pass is inference-only. A list passed as
         `latent` gets the output of layer `bottleneck` appended."""
+        return self._run(x, len(self.specs), mode, caches, latent)
+
+    def forward_to(self, stop: int, x: np.ndarray, mode: str = "eval") -> np.ndarray:
+        """Output of layer `stop` (inclusive), e.g. the bottleneck code."""
+        if not 0 <= stop < len(self.specs):
+            raise ShapeError(f"layer index {stop} out of range 0..{len(self.specs) - 1}")
+        return self._run(x, stop + 1, mode, None, None)
+
+    def _run(self, x: np.ndarray, end: int, mode: str, caches: list | None,
+             latent: list | None) -> np.ndarray:
+        """Layers 0..end-1 on a checked input batch."""
         want_rank = len(self.input_shape) + 1
         if x.ndim != want_rank:
-            raise ShapeError(
-                f"model input must be rank-{want_rank} (batch plus {self.input_shape}), "
-                f"got rank {x.ndim}"
-            )
+            raise ShapeError(f"model input must be rank-{want_rank} (batch plus "
+                             f"{self.input_shape}), got rank {x.ndim}")
         if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"model input shape {tuple(x.shape[1:])} != expected {self.input_shape}"
-            )
+            raise ShapeError(f"model input shape {tuple(x.shape[1:])} != expected "
+                             f"{self.input_shape}")
         out: np.ndarray = x
-        for i, spec in enumerate(self.specs):
+        params, buffers = self.params, self.buffers
+        for i, (spec, kind, param_keys, buffer_keys) in enumerate(self._layers[:end]):
+            arrays = [*map(params.__getitem__, param_keys), *map(buffers.__getitem__, buffer_keys)]
             try:
-                out, cache = self._forward_layer(i, spec, out, mode)
+                out, cache = kind.forward(spec, out, arrays, mode)
             except (ShapeError, ValueError) as e:
                 raise ShapeError(f"layer {i} ({spec.kind}): {e}") from None
             if caches is not None:
@@ -223,74 +279,16 @@ class ModelGraph:
                 latent.append(out)
         return out
 
-    def _forward_layer(self, i: int, spec: LayerSpec, x: np.ndarray, mode: str):
-        if spec.kind == "conv2d":
-            return F.conv2d(x, self.params[f"{i}.w"], self.params[f"{i}.b"], spec.stride, spec.padding)
-        if spec.kind == "conv2d_transpose":
-            return F.conv2d_transpose(
-                x, self.params[f"{i}.w"], self.params[f"{i}.b"], spec.stride, spec.padding
-            )
-        if spec.kind == "maxpool2d":
-            return F.maxpool2d(x, allow_odd=spec.allow_odd)
-        if spec.kind == "dense":
-            return F.dense(x, self.params[f"{i}.w"], self.params[f"{i}.b"])
-        if spec.kind == "activation":
-            return F.activate(x, spec.activation)
-        if spec.kind == "batchnorm":
-            return F.batchnorm(
-                x,
-                self.params[f"{i}.gamma"],
-                self.params[f"{i}.beta"],
-                self.buffers[f"{i}.mean"],
-                self.buffers[f"{i}.var"],
-                mode=mode,
-            )
-        if spec.kind == "flatten":
-            n = x.shape[0]
-            return x.reshape(n, -1), x.shape
-        if spec.kind == "reshape":
-            n = x.shape[0]
-            return x.reshape((n,) + spec.target_shape), x.shape
-        raise ShapeError(f"unknown layer kind {spec.kind!r}")
-
     def backward(self, dout: np.ndarray, caches: list):
         """Backpropagate. Returns (input gradient, grads dict keyed like
         params)."""
         if len(caches) != len(self.specs):
-            raise ShapeError(
-                f"cache list has {len(caches)} entries for {len(self.specs)} layers; "
-                "run forward with caches first"
-            )
+            raise ShapeError(f"cache list has {len(caches)} entries for {len(self.specs)} "
+                             "layers; run forward with caches first")
         grads: dict[str, np.ndarray] = {}
         d = dout
-        for i in range(len(self.specs) - 1, -1, -1):
-            spec = self.specs[i]
-            cache = caches[i]
-            if spec.kind == "conv2d":
-                d, dw, db = F.conv2d_backward(d, self.params[f"{i}.w"], cache)
-                grads[f"{i}.w"], grads[f"{i}.b"] = dw, db
-            elif spec.kind == "conv2d_transpose":
-                d, dw, db = F.conv2d_transpose_backward(d, self.params[f"{i}.w"], cache)
-                grads[f"{i}.w"], grads[f"{i}.b"] = dw, db
-            elif spec.kind == "maxpool2d":
-                d = F.maxpool2d_backward(d, cache)
-            elif spec.kind == "dense":
-                d, dw, db = F.dense_backward(d, self.params[f"{i}.w"], cache)
-                grads[f"{i}.w"], grads[f"{i}.b"] = dw, db
-            elif spec.kind == "activation":
-                d = F.activate_backward(d, cache)
-            elif spec.kind == "batchnorm":
-                d, dg, dbt = F.batchnorm_backward(d, cache)
-                grads[f"{i}.gamma"], grads[f"{i}.beta"] = dg, dbt
-            elif spec.kind in ("flatten", "reshape"):
-                d = d.reshape(cache)
+        params = self.params
+        for (spec, kind, param_keys, _), cache in zip(self._layers[::-1], caches[::-1]):
+            d, *layer_grads = kind.backward(spec, d, [*map(params.__getitem__, param_keys)], cache)
+            grads.update(zip(param_keys, layer_grads))
         return d, grads
-
-    def forward_to(self, stop: int, x: np.ndarray, mode: str = "eval") -> np.ndarray:
-        """Output of layer `stop` (inclusive), e.g. the bottleneck code."""
-        if not 0 <= stop < len(self.specs):
-            raise ShapeError(f"layer index {stop} out of range 0..{len(self.specs) - 1}")
-        out = x
-        for i, spec in enumerate(self.specs[: stop + 1]):
-            out, _ = self._forward_layer(i, spec, out, mode)
-        return out

@@ -20,7 +20,6 @@ from .scoring import (
     encode_latent,
     fit_kde,
     kde_log_densities,
-    kde_log_density,
     score_batch,
 )
 from .ssim import ssim, ssim_diff_image
@@ -43,7 +42,6 @@ __all__ = [
     "encode_latent",
     "fit_kde",
     "kde_log_densities",
-    "kde_log_density",
     "score_batch",
     "ssim",
     "ssim_diff_image",

@@ -96,9 +96,6 @@ def kde_log_densities(kde: KdeModel, z: np.ndarray) -> np.ndarray:
     """Log density at each query row: logsumexp over stored kernels minus
     log n and the Gaussian normalizer, floored at -1e12."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None]
     if z.ndim != 2 or z.shape[1] != kde.d:
         raise ShapeError(f"query dimension {z.shape[-1]} != latent dimension {kde.d}")
     h2 = kde.bandwidth**2
@@ -111,15 +108,7 @@ def kde_log_densities(kde: KdeModel, z: np.ndarray) -> np.ndarray:
     lse = peak[:, 0] + np.log(np.sum(np.exp(expo - peak), axis=1))
     out = lse - np.log(kde.n) - 0.5 * kde.d * np.log(2.0 * np.pi * h2)
     out = np.maximum(out, KDE_LOG_FLOOR)
-    return out[0] if single else out
-
-
-def kde_log_density(kde: KdeModel, z: np.ndarray) -> float:
-    """Log density of a single latent vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"kde_log_density takes a single vector, got shape {z.shape}")
-    return float(kde_log_densities(kde, z))
+    return out
 
 
 # ------------------------------------------------------------- thresholds
@@ -196,9 +185,9 @@ def calibrate_thresholds(
     return ThresholdSet(tau_re, tau_kd, combine_rule)
 
 
-def classify_supervised(model: ModelGraph, image: np.ndarray, cutoff: float = 0.5):
-    """CNN decision: ('defect' | 'good', probability); defect iff the
-    sigmoid output is >= cutoff (inclusive boundary)."""
-    y = model.forward(image, mode="eval")
-    prob = float(y.reshape(-1)[0])
-    return ("defect" if prob >= cutoff else "good"), prob
+def classify_supervised(model: ModelGraph, x: np.ndarray, cutoff: float = 0.5):
+    """CNN decisions for a batch, from one forward pass: (list of 'defect' |
+    'good', probabilities of shape (N,)); defect iff the sigmoid output is
+    >= cutoff (inclusive boundary)."""
+    probs = model.forward(x, mode="eval")[:, 0]
+    return ["defect" if p >= cutoff else "good" for p in probs], probs

@@ -351,7 +351,7 @@ def test_a5_optimal_discriminator(criterion):
         p_data=GaussianMixture1D(means=(-1.5, 0.6), stds=(0.5, 0.6), weights=(0.5, 0.5)),
         p_model=GaussianMixture1D(means=(1.5,), stds=(0.8,), weights=(1.0,)),
     )
-    grid = toy.grid(-5.0, 5.0, 201)
+    grid = np.linspace(-5.0, 5.0, 201)
     model = fit_toy_discriminator(toy, n_per_side=100_000, seed=0)
     learned = model.forward(grid.astype(np.float32)[:, None], mode="eval")[:, 0]
     mae = float(np.mean(np.abs(learned - optimal_discriminator_oracle(toy, grid))))

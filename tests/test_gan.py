@@ -25,6 +25,7 @@ from anomdet.gan import (
     train_gan,
 )
 from anomdet.gan.losses import discriminator_loss_grads, generator_loss_grad
+from anomdet.rng import stream
 from oracles import fd_gradient, rel_err
 
 SMALL = GanConfig(image_size=32, base_channels=8, batch_size=4, seed=0)
@@ -288,7 +289,7 @@ def test_mixture_validation():
 def test_oracle_identical_densities_is_half_everywhere():
     gm = GaussianMixture1D((0.0, 2.0), (1.0, 0.5), (0.4, 0.6))
     toy = ToyDensityPair(gm, gm)
-    grid = toy.grid(-6, 6, 201)
+    grid = np.linspace(-6, 6, 201)
     np.testing.assert_array_equal(optimal_discriminator_oracle(toy, grid), 0.5)
 
 
@@ -308,7 +309,7 @@ def test_oracle_identity_on_grid():
         GaussianMixture1D((-1.0, 0.5), (0.7, 0.4), (0.5, 0.5)),
         GaussianMixture1D((1.0,), (0.9,), (1.0,)),
     )
-    xs = toy.grid(-5, 5, 201)
+    xs = np.linspace(-5, 5, 201)
     d_star = optimal_discriminator_oracle(toy, xs)
     p = toy.p_data.pdf(xs)
     q = toy.p_model.pdf(xs)
@@ -353,6 +354,27 @@ def test_generate_deterministic_and_in_range():
     assert a.min() >= 0.0 and a.max() <= 1.0
     c = generate_samples(pair, 3, seed=3)
     assert not np.array_equal(a, c)
+
+
+def test_generate_in_batches_matches_one_forward(monkeypatch):
+    # the default width (base_channels 64, a 100 -> 1024 dense projection),
+    # as `anomdet generate` runs it
+    pair = build_pair(GanConfig(image_size=32, batch_size=8, seed=0))
+    bs = pair.config.batch_size
+    n = 2 * bs + 5
+    z = stream(6, "gan-sample").standard_normal((n, pair.config.z_dim)).astype(np.float32)
+    whole = from_gan_range(pair.generator.forward(z, mode="eval"))
+    rows = []
+    forward = pair.generator.forward
+
+    def counted(x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(pair.generator, "forward", counted)
+    got = generate_samples(pair, n, seed=6)
+    assert rows == [bs, bs, 5]  # no forward sees more than one batch
+    np.testing.assert_array_equal(got.view(np.uint32), whole.view(np.uint32))
 
 
 def test_generate_writes_files(tmp_path):

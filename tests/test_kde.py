@@ -12,7 +12,6 @@ from anomdet.pipelines import (
     KdeModel,
     fit_kde,
     kde_log_densities,
-    kde_log_density,
 )
 
 
@@ -33,7 +32,7 @@ def naive_log_density(latents, h, q):
 
 def test_single_point_at_origin_closed_form():
     kde = KdeModel(np.zeros((1, 3)), bandwidth=1.0)
-    got = kde_log_density(kde, np.zeros(3))
+    got = kde_log_densities(kde, np.zeros(3)[None])[0]
     assert abs(got - (-1.5 * math.log(2 * math.pi))) < 1e-12
 
 
@@ -45,7 +44,7 @@ def test_two_symmetric_points_closed_form():
     expect = math.log(2 * math.exp(-1 / (2 * h * h))) - math.log(2) - 0.5 * math.log(
         2 * math.pi * h * h
     )
-    assert abs(kde_log_density(kde, np.zeros(1)) - expect) < 1e-12
+    assert abs(kde_log_densities(kde, np.zeros(1)[None])[0] - expect) < 1e-12
 
 
 def test_matches_naive_double_loop():
@@ -90,7 +89,7 @@ def test_translation_equivariance():
 
 def test_far_query_hits_floor():
     kde = KdeModel(np.zeros((4, 2)), bandwidth=0.1)
-    got = kde_log_density(kde, np.full(2, 1e6))
+    got = kde_log_densities(kde, np.full(2, 1e6)[None])[0]
     assert got == KDE_LOG_FLOOR
 
 
@@ -110,7 +109,7 @@ def test_constant_latents_warn_and_floor():
     assert kde.bandwidth == 1e-3
     assert any("variance" in str(w.message) for w in caught)
     # still scoreable: the training points themselves get finite density
-    assert kde_log_density(kde, np.ones(4)) > KDE_LOG_FLOOR
+    assert kde_log_densities(kde, np.ones(4)[None])[0] > KDE_LOG_FLOOR
 
 
 def test_fit_rejects_empty_and_bad_bandwidth():
@@ -123,4 +122,4 @@ def test_fit_rejects_empty_and_bad_bandwidth():
 def test_query_dimension_mismatch_rejected():
     kde = KdeModel(np.zeros((5, 3)), bandwidth=1.0)
     with pytest.raises(ShapeError, match="dimension"):
-        kde_log_density(kde, np.zeros(4))
+        kde_log_densities(kde, np.zeros(4)[None])[0]

@@ -1,5 +1,7 @@
 """ModelGraph construction, determinism, and binary round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,40 @@ def test_save_load_round_trip_bitwise(tmp_path):
         assert m.params[k].tobytes() == m2.params[k].tobytes()
     for k in m.buffers:
         assert m.buffers[k].tobytes() == m2.buffers[k].tobytes()
+
+
+# conv2d -> batchnorm -> relu -> maxpool2d -> flatten -> dense -> reshape ->
+# conv2d_transpose -> sigmoid: every layer kind, so the file pins each kind's
+# code and its init draws
+ALL_KINDS = [
+    LayerSpec("conv2d", filters=2, kernel=3, stride=1, padding=1),
+    LayerSpec("batchnorm"),
+    LayerSpec("activation", activation="relu"),
+    LayerSpec("maxpool2d"),
+    LayerSpec("flatten"),
+    LayerSpec("dense", units=32),
+    LayerSpec("reshape", target_shape=(2, 4, 4)),
+    LayerSpec("conv2d_transpose", filters=1, kernel=4, stride=2, padding=1),
+    LayerSpec("activation", activation="sigmoid"),
+]
+GOLDEN = Path(__file__).parent / "data" / "all_kinds.anom"
+
+
+def test_golden_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    m = load_model(GOLDEN)
+    assert m.specs == ALL_KINDS
+    assert (m.input_shape, m.rng_seed, m.model_kind, m.bottleneck) == ((1, 8, 8), 7, "all-kinds", 5)
+    save_model(m, tmp_path / "again.anom")
+    assert (tmp_path / "again.anom").read_bytes() == GOLDEN.read_bytes()
+
+
+def test_golden_checkpoint_matches_fresh_init():
+    loaded = load_model(GOLDEN)
+    fresh = ModelGraph(ALL_KINDS, (1, 8, 8), rng_seed=7, model_kind="all-kinds", bottleneck=5)
+    for got, want in ((loaded.params, fresh.params), (loaded.buffers, fresh.buffers)):
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
 
 
 def test_save_load_file_level_round_trip(tmp_path):

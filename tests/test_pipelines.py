@@ -19,6 +19,7 @@ from anomdet.pipelines import (
     decide_anomaly,
     encode_latent,
     fit_kde,
+    kde_log_densities,
     score_batch,
     train,
 )
@@ -348,10 +349,8 @@ def test_calibrate_single_image_thresholds_equal_scores():
     kde = fit_kde(encode_latent(m, x), bandwidth=1.0)
     ts = calibrate_thresholds(m, x, kde=kde, percentile=95.0)
     np.testing.assert_allclose(ts.recon_threshold, score_batch(m, x)[0][0], rtol=1e-12)
-    from anomdet.pipelines import kde_log_density
-
     np.testing.assert_allclose(
-        ts.kde_threshold, kde_log_density(kde, encode_latent(m, x)[0]), rtol=1e-12
+        ts.kde_threshold, kde_log_densities(kde, encode_latent(m, x)[0][None])[0], rtol=1e-12
     )
 
 
@@ -372,8 +371,9 @@ def test_calibrate_empty_rejected():
 def test_classify_supervised_boundaries():
     m = build_cnn(CnnConfig(input_shape=(1, 64, 64)), seed=17)
     x = np.zeros((1, 1, 64, 64), dtype=np.float32)
-    label, prob = classify_supervised(m, x, cutoff=0.5)
-    assert prob == 0.5  # zero biases at init
-    assert label == "defect"  # inclusive boundary
-    label, _ = classify_supervised(m, x, cutoff=1.0)
-    assert label == "good"
+    labels, probs = classify_supervised(m, x, cutoff=0.5)
+    assert probs.shape == (1,)
+    assert probs[0] == 0.5  # zero biases at init
+    assert labels == ["defect"]  # inclusive boundary
+    labels, _ = classify_supervised(m, x, cutoff=1.0)
+    assert labels == ["good"]

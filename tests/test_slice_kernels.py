@@ -191,10 +191,25 @@ def _run_graph(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_graph_matches_reference_kernels(name, monkeypatch):
     got = _run_graph(name)
-    monkeypatch.setattr(F, "_im2col", oracles.im2col_strided)
-    monkeypatch.setattr(F, "maxpool2d", oracles.maxpool2d_argmax)
-    monkeypatch.setattr(F, "maxpool2d_backward", oracles.maxpool2d_argmax_backward)
+    calls = {}
+
+    def counted(kernel, ref):
+        def run(*args, **kwargs):
+            calls[kernel] = calls.get(kernel, 0) + 1
+            return ref(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(F, "_im2col", counted("_im2col", oracles.im2col_strided))
+    monkeypatch.setattr(F, "maxpool2d", counted("maxpool2d", oracles.maxpool2d_argmax))
+    monkeypatch.setattr(F, "maxpool2d_backward",
+                        counted("maxpool2d_backward", oracles.maxpool2d_argmax_backward))
     want = _run_graph(name)
+    # the graph reached the patched kernels: two forwards and one backward
+    # per pooling layer, and every graph has a conv or transposed conv
+    pools = sum(spec.kind == "maxpool2d" for spec in GRAPHS[name]().specs)
+    assert calls.get("_im2col", 0) > 0
+    assert calls.get("maxpool2d", 0) == 2 * pools
+    assert calls.get("maxpool2d_backward", 0) == pools
     assert got.keys() == want.keys()
     for key in want:
         assert_bitwise_equal(got[key], want[key], f"{name}: {key}")
