@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from . import config as config_mod
 from .config import RunConfig, parse_config
 from .data import (
@@ -26,7 +27,6 @@ from .data import (
     generate_synthetic_set,
     inject_gaussian_noise,
     load_image_dir,
-    preprocess,
     save_dataset,
 )
 from .data.codec import write_pgm
@@ -140,10 +140,8 @@ def _load_dataset(cfg: RunConfig, split: str | None = None) -> Dataset:
         root = Path(env)
     else:
         root = Path(cfg.data_root)
-    ds = load_image_dir(
-        root, cfg.class_name, allow_png=cfg.allow_png, seed=cfg.seed, split=split
-    )
-    return preprocess(ds, cfg.image_size, cfg.grayscale)
+    return load_image_dir(root, cfg.class_name, allow_png=cfg.allow_png, seed=cfg.seed,
+                          split=split, image_size=cfg.image_size, grayscale=cfg.grayscale)
 
 
 def _subset(ds: Dataset, samples) -> Dataset:
@@ -238,7 +236,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     else:
         cfg = _train_cae(cfg, ds, out)
 
-    (out / "config.cfg").write_text(cfg.to_text())
+    atomic.write_bytes(out / "config.cfg", cfg.to_text().encode("utf-8"))
     print(f"run directory: {out}")
     return 0
 
@@ -279,7 +277,8 @@ def _train_cae(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
     if cfg.model == "kd-cae":
         latents = encode_latent(model, x)
         kde = fit_kde(latents)
-        np.savez(out / "kde.npz", latents=kde.latents, bandwidth=kde.bandwidth)
+        with atomic.replacing(out / "kde.npz") as fh:
+            np.savez(fh, latents=kde.latents, bandwidth=kde.bandwidth)
 
     p = cfg.calibration_percentile()
     if p is not None:
@@ -378,12 +377,14 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         groups = _score_groups(rows)
         save_histogram(groups, run_dir, stem="probability")
     else:
-        rows, threshold_info = _score_cae(cfg, run_dir, model, x, paths, labels)
+        # the scoring pass hands over the first reconstructions for diagnostics
+        recon = np.empty((min(max(ns.diagnostics, 0), len(x)), *x.shape[1:]), dtype=x.dtype)
+        rows, threshold_info = _score_cae(cfg, run_dir, model, x, paths, labels, recon)
 
     report = EvalReport.from_rows(rows, ds.class_name, cfg.seed, threshold_info)
     report.save(run_dir)
     if cfg.model != "cnn" and ns.diagnostics > 0:
-        _write_diagnostics(model, x, run_dir / "diagnostics", ns.diagnostics)
+        _write_diagnostics(x, recon, run_dir / "diagnostics")
     auc = f"{report.roc_auc:.4f}" if np.isfinite(report.roc_auc) else "n/a (single class)"
     print(f"eval[{split}] {cfg.model}/{ds.class_name}: f1={report.f1:.4f} auc={auc}")
     print(f"counts: {report.confusion}")
@@ -408,13 +409,13 @@ def _load_kde(path: Path, model) -> KdeModel:
     return kde
 
 
-def _score_cae(cfg: RunConfig, run_dir: Path, model, x, paths, labels):
+def _score_cae(cfg: RunConfig, run_dir: Path, model, x, paths, labels, recon):
     if cfg.thresholds != "fixed":
         raise ConfigError(
             "run has no calibrated thresholds; train writes them into config.cfg"
         )
     kde = _load_kde(run_dir / "kde.npz", model) if cfg.model == "kd-cae" else None
-    errs, latents = score_batch(model, x)
+    errs, latents = score_batch(model, x, recon=recon)
     kde_vals = None if kde is None else kde_log_densities(kde, latents)
     ts = ThresholdSet(cfg.recon_threshold, cfg.kde_threshold, cfg.combine_rule)
     rows = []
@@ -445,10 +446,11 @@ def _score_groups(rows, key: str = "score") -> dict:
     return groups
 
 
-def _write_diagnostics(model, x, directory: Path, count: int) -> None:
+def _write_diagnostics(x, recon, directory: Path) -> None:
+    """Input, reconstruction and SSIM-difference images of the first
+    len(recon) inputs."""
     directory.mkdir(parents=True, exist_ok=True)
-    recon = model.forward(x[:count], mode="eval")
-    for i in range(min(count, x.shape[0])):
+    for i in range(len(recon)):
         if x.shape[1] != 1:
             continue  # ssim map is defined on grayscale
         _, smap = ssim(x[i, 0], recon[i, 0])

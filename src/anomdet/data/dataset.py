@@ -76,7 +76,8 @@ class NoisePlan:
 
 def _to_unit_float(u8: np.ndarray) -> np.ndarray:
     """uint8 (H,W) or (H,W,3) -> float32 (1,C,H,W) in [0,1]."""
-    f = u8.astype(np.float32) / 255.0
+    f = u8.astype(np.float32)
+    f /= 255.0
     if f.ndim == 2:
         return f[None, None]
     return f.transpose(2, 0, 1)[None]
@@ -88,6 +89,8 @@ def load_image_dir(
     allow_png: bool = False,
     seed: int = 0,
     split: str | None = None,
+    image_size: int | None = None,
+    grayscale: bool = True,
 ) -> Dataset:
     """Ingest one class directory in the layout above.
 
@@ -95,10 +98,15 @@ def load_image_dir(
     sample order is stable across filesystems. Undecodable files warn and
     increment `skipped`; the run continues. With `split` ("train" or
     "test") only that split's folders are read; the samples are the ones
-    a full load holds for that split, in the same order.
+    a full load holds for that split, in the same order. With `image_size`,
+    each image is preprocessed as it is read, so only one full-resolution
+    image is held at a time; the samples are those of
+    `preprocess(load_image_dir(...), image_size, grayscale)`.
     """
     if split not in (None, "train", "test"):
         raise DataError(f"split must be 'train' or 'test', got {split!r}")
+    if image_size is not None:
+        _check_target(image_size)
     base = Path(root) / class_name
     if not base.is_dir():
         raise DataError(f"class directory not found: {base}")
@@ -116,9 +124,10 @@ def load_image_dir(
                 warnings.warn(f"skipping undecodable image: {e}")
                 skipped += 1
                 continue
-            samples.append(
-                ImageSample(_to_unit_float(u8), label, defect_kind, sample_split, str(f))
-            )
+            pixels = _to_unit_float(u8)
+            if image_size is not None:
+                pixels = _preprocess_pixels(pixels, image_size, grayscale, f)
+            samples.append(ImageSample(pixels, label, defect_kind, sample_split, str(f)))
 
     if split in (None, "train"):
         train_good = base / "train" / "good"
@@ -175,6 +184,30 @@ def _bilinear(img: np.ndarray, target: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def _check_target(target_size: int) -> None:
+    if target_size < 1:
+        raise DataError(f"target size must be positive, got {target_size}")
+
+
+def _preprocess_pixels(img: np.ndarray, target_size: int, grayscale: bool, source) -> np.ndarray:
+    """One sample's (1, C, H, W) pixels through `preprocess`."""
+    if grayscale and img.shape[1] == 3:
+        w = np.asarray(LUMA_WEIGHTS, dtype=np.float32).reshape(1, 3, 1, 1)
+        img = np.sum(img * w, axis=1, keepdims=True, dtype=np.float32)
+    img = _center_crop_square(img)
+    side = img.shape[2]
+    if side < target_size:
+        raise DataError(
+            f"{source}: source {side}px smaller than target {target_size}px; upscaling refused"
+        )
+    if side != target_size:
+        if side % target_size == 0:
+            img = _block_mean(img, side // target_size)
+        else:
+            img = _bilinear(img, target_size)
+    return np.clip(img, 0.0, 1.0)
+
+
 def preprocess(dataset: Dataset, target_size: int, grayscale: bool) -> Dataset:
     """Luminance conversion, center-crop to square, downsample to target.
 
@@ -182,28 +215,11 @@ def preprocess(dataset: Dataset, target_size: int, grayscale: bool) -> Dataset:
     multiple of the target, bilinear otherwise. Upscaling is refused.
     Idempotent: output at target size passes through unchanged.
     """
-    if target_size < 1:
-        raise DataError(f"target size must be positive, got {target_size}")
-    out_samples = []
-    for s in dataset.samples:
-        img = s.pixels
-        if grayscale and img.shape[1] == 3:
-            w = np.asarray(LUMA_WEIGHTS, dtype=np.float32).reshape(1, 3, 1, 1)
-            img = np.sum(img * w, axis=1, keepdims=True, dtype=np.float32)
-        img = _center_crop_square(img)
-        side = img.shape[2]
-        if side < target_size:
-            raise DataError(
-                f"{s.source_path}: source {side}px smaller than target "
-                f"{target_size}px; upscaling refused"
-            )
-        if side != target_size:
-            if side % target_size == 0:
-                img = _block_mean(img, side // target_size)
-            else:
-                img = _bilinear(img, target_size)
-        img = np.clip(img, 0.0, 1.0)
-        out_samples.append(replace(s, pixels=img))
+    _check_target(target_size)
+    out_samples = [
+        replace(s, pixels=_preprocess_pixels(s.pixels, target_size, grayscale, s.source_path))
+        for s in dataset.samples
+    ]
     return Dataset(dataset.class_name, out_samples, dataset.seed, dataset.skipped)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .errors import DataError
 
 LABELS = ("good", "defect")
@@ -159,7 +160,7 @@ class EvalReport:
             "rows": self.rows,
             "conventions": "defect is positive; f1 = tp/(tp+(fp+fn)/2), 0 at zero denominator",
         }
-        (directory / "report.json").write_text(json.dumps(payload, indent=1))
+        atomic.write_bytes(directory / "report.json", json.dumps(payload, indent=1).encode())
         with open(directory / "summary.csv", "w", newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["metric", "value"])

@@ -4,11 +4,11 @@ All image tensors are rank-4 (N, C, H, W), row-major. Functions preserve
 the dtype of their inputs: training runs float32, verification (finite
 differences, adjointness) can pass float64 and gets float64 math.
 
-Convolutions go through im2col so the heavy lifting is one matmul;
-col2im is its exact adjoint, which is also what makes conv2d_transpose
-the exact adjoint of conv2d for identical hyperparameters. Both walk the
-kernel taps with strided slices: im2col copies each patch once into one
-buffer, col2im adds each tap back.
+Convolutions go through im2col (one strided copy per kernel tap) and one
+matmul. Its adjoint, for conv2d's input gradient and conv2d_transpose,
+multiplies one block of channels at a time and adds each tap into its
+strided slice: no full column matrix, and the bits of matmul + col2im.
+Activations cache only their output (relu's mask y > 0 is x > 0).
 
 Max pooling reads the four strided quarter-slices of its input (one per
 window position) and caches its input and output, not an index array;
@@ -19,6 +19,8 @@ reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,9 +39,7 @@ def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output extent of a strided convolution."""
     span = extent + 2 * padding - kernel
     if span < 0:
-        raise ShapeError(
-            f"kernel {kernel} exceeds padded extent {extent + 2 * padding}"
-        )
+        raise ShapeError(f"kernel {kernel} exceeds padded extent {extent + 2 * padding}")
     return span // stride + 1
 
 
@@ -72,22 +72,30 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
-    """Adjoint of _im2col: scatter-add patch columns back onto the image."""
-    n, c, h, w = x_shape
-    oh = conv_out_extent(h, kh, stride, padding)
-    ow = conv_out_extent(w, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[
-                :, :, i, j
-            ]
-    if padding:
-        out = out[:, :, padding : padding + h, padding : padding + w]
-    return out
+# _scatter_rows's GEMMs have a multiple of BLOCK_ROWS rows, and so of the
+# OpenBLAS tile width (12 on Haswell): each row gets one big GEMM's bits.
+# A block takes as many such multiples as fit in BLOCK_BYTES of columns.
+BLOCK_ROWS, BLOCK_BYTES = 48, 4 << 20
+
+
+def _scatter_rows(w: np.ndarray, src: np.ndarray, out_shape, stride: int, padding: int):
+    """col2im of the columns w.T @ src onto `out_shape` (N, C, H, W), a block
+    of channels at a time. `w` is (Ci, C, kh, kw), `src` (N, Ci, P) with P the
+    patch count of a (kh, kw, stride, padding) conv over out_shape."""
+    n, c, h, w_ = out_shape
+    kh, kw = w.shape[2:]
+    oh, ow = conv_out_extent(h, kh, stride, padding), conv_out_extent(w_, kw, stride, padding)
+    dtype = np.result_type(w, src)
+    out = np.zeros((n, c, h + 2 * padding, w_ + 2 * padding), dtype=dtype)
+    step = BLOCK_ROWS // math.gcd(BLOCK_ROWS, kh * kw)  # fewest channels per GEMM
+    step *= max(1, BLOCK_BYTES // (n * step * kh * kw * src.shape[2] * dtype.itemsize))
+    for c0 in range(0, c, step):
+        cols = np.matmul(w[:, c0 : c0 + step].reshape(w.shape[0], -1).T, src)
+        cols = cols.reshape(n, -1, kh * kw, oh, ow)
+        dst = out[:, c0 : c0 + step]
+        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+            dst[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, t]
+    return out[:, :, padding : padding + h, padding : padding + w_]
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +118,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
     y = np.matmul(wmat, cols)  # (N, OutC, oh*ow)
     y += b.reshape(1, out_c, 1)
     y = y.reshape(x.shape[0], out_c, oh, ow)
-    cache = (cols, x.shape, w.shape, stride, padding)
-    return y, cache
+    return y, (cols, x.shape, w.shape, stride, padding)
 
 
 def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
     """Gradients of conv2d; returns (dx, dw, db)."""
     cols, x_shape, w_shape, stride, padding = cache
-    out_c, in_c, kh, kw = w_shape
-    n = x_shape[0]
-    dy_mat = dy.reshape(n, out_c, -1)
+    dy_mat = dy.reshape(x_shape[0], w_shape[0], -1)
     db = dy_mat.sum(axis=(0, 2))
-    wmat = w.reshape(out_c, -1)
     dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    dcols = np.matmul(wmat.T, dy_mat)
-    dx = _col2im(dcols, x_shape, kh, kw, stride, padding)
+    dx = _scatter_rows(w, dy_mat, x_shape, stride, padding)
     return dx, dw, db
 
 
@@ -144,18 +147,14 @@ def conv2d_transpose(
     _require_rank4(x, "conv2d_transpose")
     in_c, out_c, kh, kw = w.shape
     if x.shape[1] != in_c:
-        raise ShapeError(
-            f"conv2d_transpose: input has {x.shape[1]} channels, weights expect {in_c}"
-        )
+        raise ShapeError(f"conv2d_transpose: input has {x.shape[1]} channels, "
+                         f"weights expect {in_c}")
     n, _, h, ww_ = x.shape
-    oh = conv_transpose_out_extent(h, kh, stride, padding)
-    ow = conv_transpose_out_extent(ww_, kw, stride, padding)
-    wmat = w.reshape(in_c, out_c * kh * kw)
-    cols = np.matmul(wmat.T, x.reshape(n, in_c, h * ww_))
-    y = _col2im(cols, (n, out_c, oh, ow), kh, kw, stride, padding)
+    y_shape = (n, out_c, conv_transpose_out_extent(h, kh, stride, padding),
+               conv_transpose_out_extent(ww_, kw, stride, padding))
+    y = _scatter_rows(w, x.reshape(n, in_c, h * ww_), y_shape, stride, padding)
     y += b.reshape(1, out_c, 1, 1)
-    cache = (x, w.shape, (n, out_c, oh, ow), stride, padding)
-    return y, cache
+    return y, (x, w.shape, y_shape, stride, padding)
 
 
 def conv2d_transpose_backward(dy: np.ndarray, w: np.ndarray, cache):
@@ -286,15 +285,15 @@ def activate(x: np.ndarray, name: str):
         y = np.tanh(x)
     else:
         raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-    return y, (name, x, y)
+    return y, (name, y)
 
 
 def activate_backward(dy: np.ndarray, cache):
-    name, x, y = cache
+    name, y = cache
     if name == "relu":
-        return dy * (x > 0)
+        return dy * (y > 0)
     if name == "leaky_relu":
-        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE)
+        return dy * np.where(y > 0, 1.0, LEAKY_SLOPE)
     if name == "sigmoid":
         return dy * y * (1.0 - y)
     return dy * (1.0 - y * y)  # tanh

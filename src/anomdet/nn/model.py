@@ -281,14 +281,15 @@ class ModelGraph:
 
     def backward(self, dout: np.ndarray, caches: list):
         """Backpropagate. Returns (input gradient, grads dict keyed like
-        params)."""
+        params). Pops each layer's cache off `caches`, freeing it before the
+        layer below runs, so the list ends empty: run forward anew to reuse."""
         if len(caches) != len(self.specs):
             raise ShapeError(f"cache list has {len(caches)} entries for {len(self.specs)} "
                              "layers; run forward with caches first")
         grads: dict[str, np.ndarray] = {}
         d = dout
         params = self.params
-        for (spec, kind, param_keys, _), cache in zip(self._layers[::-1], caches[::-1]):
-            d, *layer_grads = kind.backward(spec, d, [*map(params.__getitem__, param_keys)], cache)
+        for spec, kind, param_keys, _ in reversed(self._layers):
+            d, *layer_grads = kind.backward(spec, d, [params[k] for k in param_keys], caches.pop())
             grads.update(zip(param_keys, layer_grads))
         return d, grads

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import atomic
 from ..errors import DataError
 from .model import LAYER_KINDS, LayerSpec, ModelGraph
 
@@ -39,13 +40,14 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise DataError("model file truncated")
+            raise DataError(f"{self.path}: model file truncated")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -68,7 +70,8 @@ class _Reader:
 
 
 def save_model(model: ModelGraph, path: str | Path) -> None:
-    """Write the graph structure plus every param and buffer array."""
+    """Write the graph structure plus every param and buffer array, through
+    a temp file renamed over `path`."""
     parts = [MAGIC, struct.pack("<IQ", VERSION, model.rng_seed & (2**64 - 1))]
     parts.append(_pack_str(model.model_kind))
     # three u32 slots; flat (D,) inputs ride as (0, 0, D) since a real
@@ -108,12 +111,15 @@ def save_model(model: ModelGraph, path: str | Path) -> None:
         for d in arr.shape:
             parts.append(struct.pack("<I", d))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    atomic.write_bytes(path, b"".join(parts))
 
 
 def load_model(path: str | Path) -> ModelGraph:
     """Rebuild a ModelGraph from a file written by save_model."""
-    r = _Reader(Path(path).read_bytes())
+    try:
+        r = _Reader(Path(path).read_bytes(), path)
+    except OSError as e:
+        raise DataError(f"{path}: cannot read model file: {e.strerror or e}") from None
     if r.take(6) != MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
     version = r.u32()

@@ -16,24 +16,28 @@ KDE_LOG_FLOOR = -1e12
 
 
 def score_batch(
-    model: ModelGraph, x: np.ndarray, batch_size: int = 16
+    model: ModelGraph, x: np.ndarray, batch_size: int = 16, recon: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-sample mean squared reconstruction error, float64, shape (N,),
     and the flattened bottleneck activations, shape (N, d), from one
     forward pass per batch. Latents are None when the model has no
-    designated bottleneck layer."""
+    designated bottleneck layer. An array passed as `recon`, of k <= N
+    images, receives the reconstructions of the first k."""
     if x.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) batch, got rank {x.ndim}")
     errors = np.empty(x.shape[0], dtype=np.float64)
     latent = None if model.bottleneck is None else []
+    keep = 0 if recon is None else len(recon)
     for i in range(0, x.shape[0], batch_size):
         xb = x[i : i + batch_size]
-        recon = model.forward(xb, mode="eval", latent=latent)
-        if recon.shape != xb.shape:
+        out = model.forward(xb, mode="eval", latent=latent)
+        if out.shape != xb.shape:
             raise ShapeError(
-                f"reconstruction shape {recon.shape} does not match input {xb.shape}"
+                f"reconstruction shape {out.shape} does not match input {xb.shape}"
             )
-        diff = recon.astype(np.float64) - xb.astype(np.float64)
+        if i < keep:
+            recon[i : i + batch_size] = out[: keep - i]
+        diff = out.astype(np.float64) - xb.astype(np.float64)
         errors[i : i + xb.shape[0]] = np.mean(diff * diff, axis=(1, 2, 3))
     latents = None if latent is None else np.concatenate([z.reshape(len(z), -1) for z in latent])
     return errors, latents

@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from anomdet.errors import ShapeError
+from anomdet.nn.functional import (
+    LEAKY_SLOPE,
+    conv_out_extent,
+    conv_transpose_out_extent,
+)
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0):
@@ -80,8 +85,9 @@ def maxpool2d_naive(x):
     return y
 
 
-# Earlier vectorized kernels, kept verbatim: the slice kernels in
-# anomdet.nn.functional must reproduce them bit for bit.
+# Earlier vectorized kernels, kept verbatim: the slice kernels, the row
+# scatter and the output-only activation cache in anomdet.nn.functional
+# must reproduce them bit for bit.
 
 
 def im2col_strided(x, kh, kw, stride, padding):
@@ -130,6 +136,80 @@ def maxpool2d_argmax_backward(dy, cache):
         dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
     )
     return dx
+
+
+def col2im(cols, x_shape, kh, kw, stride, padding):
+    """Adjoint of _im2col: scatter-add patch columns back onto the image."""
+    n, c, h, w = x_shape
+    oh = conv_out_extent(h, kh, stride, padding)
+    ow = conv_out_extent(w, kw, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[
+                :, :, i, j
+            ]
+    if padding:
+        out = out[:, :, padding : padding + h, padding : padding + w]
+    return out
+
+
+def conv2d_backward_cols(dy, w, cache):
+    """Gradients of conv2d; returns (dx, dw, db)."""
+    cols, x_shape, w_shape, stride, padding = cache
+    out_c, in_c, kh, kw = w_shape
+    n = x_shape[0]
+    dy_mat = dy.reshape(n, out_c, -1)
+    db = dy_mat.sum(axis=(0, 2))
+    wmat = w.reshape(out_c, -1)
+    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    dcols = np.matmul(wmat.T, dy_mat)
+    dx = col2im(dcols, x_shape, kh, kw, stride, padding)
+    return dx, dw, db
+
+
+def conv2d_transpose_cols(x, w, b, stride=1, padding=0):
+    """Transposed convolution through one GEMM for all taps and col2im."""
+    in_c, out_c, kh, kw = w.shape
+    if x.shape[1] != in_c:
+        raise ShapeError(
+            f"conv2d_transpose: input has {x.shape[1]} channels, weights expect {in_c}"
+        )
+    n, _, h, ww_ = x.shape
+    oh = conv_transpose_out_extent(h, kh, stride, padding)
+    ow = conv_transpose_out_extent(ww_, kw, stride, padding)
+    wmat = w.reshape(in_c, out_c * kh * kw)
+    cols = np.matmul(wmat.T, x.reshape(n, in_c, h * ww_))
+    y = col2im(cols, (n, out_c, oh, ow), kh, kw, stride, padding)
+    y += b.reshape(1, out_c, 1, 1)
+    cache = (x, w.shape, (n, out_c, oh, ow), stride, padding)
+    return y, cache
+
+
+def activate_input_cached(x, name):
+    """Element-wise activation caching its input as well as its output."""
+    if name == "relu":
+        y = np.maximum(x, 0)
+    elif name == "leaky_relu":
+        y = np.where(x > 0, x, LEAKY_SLOPE * x)
+    elif name == "sigmoid":
+        y = 1.0 / (1.0 + np.exp(-x))
+    else:
+        y = np.tanh(x)
+    return y, (name, x, y)
+
+
+def activate_input_cached_backward(dy, cache):
+    name, x, y = cache
+    if name == "relu":
+        return dy * (x > 0)
+    if name == "leaky_relu":
+        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE)
+    if name == "sigmoid":
+        return dy * y * (1.0 - y)
+    return dy * (1.0 - y * y)  # tanh
 
 
 # The two-pass CAE scoring that score_batch replaced, kept verbatim:

@@ -7,6 +7,7 @@ same directory must reproduce the report byte for byte.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_eval_writes_report_files(kd_run):
     assert (kd_run / "diagnostics" / "000_input.pgm").is_file()
     assert (kd_run / "diagnostics" / "000_recon.pgm").is_file()
     assert (kd_run / "diagnostics" / "000_ssim_diff.pgm").is_file()
+
+
+def test_eval_forwards_each_image_once(kd_run, monkeypatch):
+    from anomdet.nn import ModelGraph
+
+    images = []
+    forward = ModelGraph.forward
+
+    def counting(self, x, *args, **kwargs):
+        images.append(x.shape[0])
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(ModelGraph, "forward", counting)
+    before = {f.name: f.read_bytes() for f in (kd_run / "diagnostics").iterdir()}
+    report = (kd_run / "report.json").read_bytes()
+    assert main(["eval", "--run", str(kd_run), "--diagnostics", "2"]) == 0
+    assert sum(images) == 6  # the test split, diagnostics included
+    assert (kd_run / "report.json").read_bytes() == report
+    for name in ("000_recon.pgm", "001_ssim_diff.pgm"):
+        assert (kd_run / "diagnostics" / name).read_bytes() == before[name]
 
 
 def test_eval_rerun_reproduces_report(kd_run):
@@ -283,6 +304,57 @@ def test_corrupt_kde_state_is_data_error(kd_run, tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(kde_file) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_damaged_checkpoint_is_data_error(kd_run, tmp_path, capsys, damage):
+    clone = tmp_path / "damaged"
+    clone.mkdir()
+    for name in ("config.cfg", "checkpoint.anom", "kde.npz"):
+        (clone / name).write_bytes((kd_run / name).read_bytes())
+    ckpt = clone / "checkpoint.anom"
+    if damage == "truncated":
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    else:
+        ckpt.unlink()
+    capsys.readouterr()
+    assert main(["eval", "--run", str(clone)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ckpt) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_artifacts_are_replaced_whole(kd_run, tmp_path, monkeypatch):
+    """train and eval write each artifact beside its final path and rename
+    it over that path; a rename that fails leaves the old file and no temp
+    file behind."""
+    import anomdet.atomic as atomic
+
+    clone = tmp_path / "run"
+    clone.mkdir()
+    for name in ("config.cfg", "checkpoint.anom", "kde.npz"):
+        (clone / name).write_bytes((kd_run / name).read_bytes())
+    assert main(["eval", "--run", str(clone)]) == 0
+    before = {f.name: f.read_bytes() for f in clone.iterdir() if f.is_file()}
+    replaced = []
+
+    def failing_replace(src, dst):
+        replaced.append(Path(dst).name)
+        assert Path(src).parent == Path(dst).parent and Path(src).is_file()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(atomic.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(["eval", "--run", str(clone)])
+    with pytest.raises(OSError):
+        main(["train", *KD_ARGS, "--out", str(clone)])
+    assert replaced == ["report.json", "checkpoint.anom"]
+    after = {f.name: f.read_bytes() for f in clone.iterdir() if f.is_file()}
+    assert after == before  # the old artifacts, and no temp files
+    monkeypatch.undo()
+    assert main(["train", *KD_ARGS, "--out", str(clone)]) == 0
+    assert {"config.cfg", "checkpoint.anom", "kde.npz"} <= {f.name for f in clone.iterdir()}
+    assert not [f for f in clone.iterdir() if f.name.endswith(".tmp")]
 
 
 def test_noise_train_writes_plan(tmp_path):

@@ -324,3 +324,57 @@ def test_dataset_cache_rgb(tmp_path):
 def test_load_dataset_requires_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_dataset(tmp_path)
+
+
+# --------------------------------------------------- streamed preprocessing
+
+
+def _assert_same_samples(got: Dataset, want: Dataset) -> None:
+    assert (got.class_name, got.seed, got.skipped) == (want.class_name, want.seed, want.skipped)
+    assert len(got.samples) == len(want.samples)
+    for a, b in zip(got.samples, want.samples):
+        assert (a.label, a.defect_kind, a.split, a.source_path) == (
+            b.label, b.defect_kind, b.split, b.source_path)
+        assert a.pixels.dtype == b.pixels.dtype and a.pixels.shape == b.pixels.shape
+        assert np.array_equal(a.pixels.view(np.uint32), b.pixels.view(np.uint32))
+
+
+@pytest.mark.parametrize("grayscale", [True, False])
+@pytest.mark.parametrize("size", [6, 8])  # bilinear and block-mean downsampling
+def test_ingest_preprocesses_each_file_like_preprocess(tmp_path, grayscale, size):
+    base = make_class_dir(tmp_path, size=16)
+    rng = np.random.default_rng(3)
+    write_ppm(base / "test" / "scratch" / "rgb.ppm",
+              rng.integers(0, 256, (16, 20, 3), dtype=np.uint8))
+    write_pgm(base / "train" / "good" / "wide.pgm",
+              rng.integers(0, 256, (12, 17), dtype=np.uint8))
+    (base / "train" / "good" / "broken.pgm").write_bytes(b"P5 nonsense")
+    with pytest.warns(UserWarning, match="undecodable"):
+        whole = preprocess(load_image_dir(tmp_path, "widget", seed=5), size, grayscale)
+    with pytest.warns(UserWarning, match="undecodable"):
+        streamed = load_image_dir(tmp_path, "widget", seed=5, image_size=size,
+                                  grayscale=grayscale)
+    _assert_same_samples(streamed, whole)
+
+
+def test_ingest_holds_one_source_image_at_a_time(tmp_path):
+    import tracemalloc
+
+    side, target, n = 1024, 128, 12
+    good = tmp_path / "part" / "train" / "good"
+    good.mkdir(parents=True)
+    rng = np.random.default_rng(8)
+    for i in range(n):
+        write_pgm(good / f"{i:03d}.pgm", rng.integers(0, 256, (side, side), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        streamed = load_image_dir(tmp_path, "part", image_size=target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float32 source image, plus its file bytes and uint8 raster (a
+    # quarter of that each), plus the kept set; a whole-list preprocess
+    # holds all n sources (about 4n times one)
+    source, kept = 4 * side * side, n * 4 * target * target
+    assert peak <= 1.5 * source + kept, f"{peak / 1e6:.1f} MB"
+    _assert_same_samples(streamed, preprocess(load_image_dir(tmp_path, "part"), target, True))

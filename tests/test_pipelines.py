@@ -290,6 +290,20 @@ def test_score_batch_runs_one_forward_per_batch(monkeypatch):
     assert calls == ["forward"] * 3  # ceil(37 / 16), no encoder-only pass
 
 
+@pytest.mark.parametrize("keep", [0, 3, 16, 20, 37])
+def test_score_batch_hands_over_the_first_reconstructions(keep):
+    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=20)
+    x = np.random.default_rng(12).uniform(0, 1, (37, 1, 32, 32)).astype(np.float32)
+    recon = np.full((keep, 1, 32, 32), np.nan, dtype=np.float32)
+    errors, latents = score_batch(m, x, recon=recon)
+    ref_errors, ref_latents = score_batch(m, x)
+    assert np.array_equal(_bits(errors), _bits(ref_errors))
+    assert np.array_equal(_bits(latents), _bits(ref_latents))
+    # the reconstructions of the scoring batches, not of a separate pass
+    want = np.concatenate([m.forward(x[i : i + 16]) for i in range(0, 37, 16)])[:keep]
+    assert np.array_equal(_bits(recon), _bits(want))
+
+
 def test_encode_latent_requires_bottleneck():
     m = tiny_cae()
     assert m.bottleneck is None

@@ -1,11 +1,20 @@
-"""The slice kernels (_im2col, maxpool2d, maxpool2d_backward) reproduce the
-earlier strided/argmax kernels kept in oracles.py bit for bit.
+"""The slice kernels (_im2col, maxpool2d, maxpool2d_backward), the
+channel-block scatter of conv2d_backward and conv2d_transpose, and the
+output-only activation cache reproduce the earlier kernels kept in
+oracles.py bit for bit.
 
 Inputs are drawn as raw bit patterns, so every float value can occur:
 signed zeros, NaNs with any sign and payload, infinities, subnormals.
 Equality is checked on the bit patterns, which tells -0.0 from +0.0 and
-one NaN from another.
+one NaN from another (the scatter's NaN + NaN sums excepted, see
+assert_equal_but_colliding_nans).
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -153,6 +162,102 @@ def test_maxpool_odd_extent_leaves_trailing_row_and_column_out():
     assert dx[0, 0, 0, 0] == 1.0 and dx.sum() == 1.0
 
 
+# ------------------------------------------------------- conv scatter
+
+
+def assert_equal_but_colliding_nans(got, want, terms, what=""):
+    """Bitwise equality, except where both are NaN and two or more
+    non-finite terms were summed into the element. a + b and b + a have
+    the same bits for any non-NaN a, b, but NaN + NaN keeps one operand or
+    the other by operand order, which BLAS kernels for different row counts
+    and numpy's add on different operand layouts set differently. The
+    col2im reference itself turns a row of equal addends into 0x7fc00000
+    in some elements and 0xffc00000 in others."""
+    free = (terms >= 2) & np.isnan(got) & np.isnan(want)
+    assert_bitwise_equal(np.where(free, 0, got).astype(got.dtype),
+                         np.where(free, 0, want).astype(want.dtype), what)
+
+
+def _nonfinite_terms(a, b, shape, kh, kw, stride, padding):
+    """How many non-finite terms the GEMM a @ b (a (M, K), b (N, K, P)) and
+    col2im onto `shape` sum into each element; a product of two NaNs
+    counts twice, since it too keeps one NaN by operand order."""
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype)[None, :, :, None], b.astype(dtype)[:, None, :, :]
+    with np.errstate(all="ignore"):
+        terms = np.maximum(~np.isfinite(a * b), np.isnan(a) + np.isnan(b).astype(int))
+    return oracles.col2im(terms.sum(axis=2).astype(np.float64), shape, kh, kw, stride, padding)
+
+
+# up to 20 channels: with the smallest blocks (BLOCK_BYTES 0), more than
+# one GEMM block for every kernel but 1x1; with the default, one block
+channels = st.one_of(st.integers(1, 3), st.integers(4, 20))
+conv_dims = dict(block_bytes=st.sampled_from((0, F.BLOCK_BYTES)),
+                 n=st.integers(1, 2), in_c=channels, out_c=channels,
+                 h=st.integers(1, 9), w=st.integers(1, 9), kh=st.integers(1, 4),
+                 kw=st.integers(1, 4), stride=st.integers(1, 3), padding=st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(DTYPES), dy_dtype=st.sampled_from(DTYPES),
+       **conv_dims)
+def test_conv2d_backward_matches_col2im_reference(data, dtype, dy_dtype, block_bytes, n, in_c,
+                                                  out_c, h, w, kh, kw, stride, padding):
+    if h + 2 * padding < kh or w + 2 * padding < kw:
+        return  # no output; conv2d refuses the shape
+    x = data.draw(float_arrays(dtype, (n, in_c, h, w)))
+    wt = data.draw(float_arrays(dtype, (out_c, in_c, kh, kw)))
+    _, cache = F.conv2d(x, wt, np.zeros(out_c, dtype), stride, padding)
+    oh, ow = (F.conv_out_extent(e, k, stride, padding) for e, k in ((h, kh), (w, kw)))
+    dy = data.draw(float_arrays(dy_dtype, (n, out_c, oh, ow)))
+    with np.errstate(all="ignore"), patch.object(F, "BLOCK_BYTES", block_bytes):
+        got = F.conv2d_backward(dy, wt, cache)
+        want = oracles.conv2d_backward_cols(dy, wt, cache)
+    terms = _nonfinite_terms(wt.reshape(out_c, -1).T, dy.reshape(n, out_c, -1), x.shape,
+                             kh, kw, stride, padding)
+    assert_equal_but_colliding_nans(got[0], want[0], terms, "dx")
+    assert_bitwise_equal(got[1], want[1], "dw")
+    assert_bitwise_equal(got[2], want[2], "db")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(DTYPES), **conv_dims)
+def test_conv2d_transpose_matches_col2im_reference(data, dtype, block_bytes, n, in_c, out_c, h,
+                                                   w, kh, kw, stride, padding):
+    if min((h - 1) * stride + kh, (w - 1) * stride + kw) - 2 * padding < 1:
+        return  # the output collapses; both refuse the shape
+    x = data.draw(float_arrays(dtype, (n, in_c, h, w)))
+    wt = data.draw(float_arrays(dtype, (in_c, out_c, kh, kw)))
+    b = data.draw(float_arrays(dtype, (out_c,)))
+    with np.errstate(all="ignore"), patch.object(F, "BLOCK_BYTES", block_bytes):
+        y, cache = F.conv2d_transpose(x, wt, b, stride, padding)
+        want, want_cache = oracles.conv2d_transpose_cols(x, wt, b, stride, padding)
+    terms = _nonfinite_terms(wt.reshape(in_c, -1).T, x.reshape(n, in_c, h * w), y.shape,
+                             kh, kw, stride, padding)
+    terms += ~np.isfinite(b).reshape(1, out_c, 1, 1)
+    assert_equal_but_colliding_nans(y, want, terms)
+    assert cache[1:] == want_cache[1:] and cache[0] is x
+
+
+# ----------------------------------------------------------- activations
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(DTYPES), dy_dtype=st.sampled_from(DTYPES),
+       name=st.sampled_from(F.ACTIVATIONS), shape=hnp.array_shapes(min_dims=1, max_dims=4,
+                                                                   max_side=5))
+def test_output_only_activation_cache_matches_reference(data, dtype, dy_dtype, name, shape):
+    x = data.draw(float_arrays(dtype, shape))
+    dy = data.draw(float_arrays(dy_dtype, shape))
+    with np.errstate(all="ignore"):
+        y, cache = F.activate(x, name)
+        want_y, want_cache = oracles.activate_input_cached(x, name)
+        assert_bitwise_equal(y, want_y)
+        assert len(cache) == 2 and cache[1] is y  # the input is not kept
+        assert_bitwise_equal(F.activate_backward(dy, cache),
+                             oracles.activate_input_cached_backward(dy, want_cache))
+
+
 # --------------------------------------------------------- whole graphs
 
 
@@ -164,6 +269,7 @@ def _gan(which: str):
 GRAPHS = {
     "cnn": lambda: build_cnn(CnnConfig(input_shape=(1, 32, 32)), seed=1),
     "kd-cae": lambda: build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=2),
+    "kd-cae-128": lambda: build_kd_cae(KdCaeConfig(), seed=2),  # the CLI's default size
     "ni-cae": lambda: build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=3),
     "dcgan-generator": lambda: _gan("g"),
     "dcgan-discriminator": lambda: _gan("d"),
@@ -199,17 +305,46 @@ def test_graph_matches_reference_kernels(name, monkeypatch):
             return ref(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(F, "_im2col", counted("_im2col", oracles.im2col_strided))
-    monkeypatch.setattr(F, "maxpool2d", counted("maxpool2d", oracles.maxpool2d_argmax))
-    monkeypatch.setattr(F, "maxpool2d_backward",
-                        counted("maxpool2d_backward", oracles.maxpool2d_argmax_backward))
+    references = {
+        "_im2col": oracles.im2col_strided,
+        "maxpool2d": oracles.maxpool2d_argmax,
+        "maxpool2d_backward": oracles.maxpool2d_argmax_backward,
+        "conv2d_backward": oracles.conv2d_backward_cols,
+        "conv2d_transpose": oracles.conv2d_transpose_cols,
+        "activate": oracles.activate_input_cached,
+        "activate_backward": oracles.activate_input_cached_backward,
+    }
+    for kernel, ref in references.items():
+        monkeypatch.setattr(F, kernel, counted(kernel, ref))
     want = _run_graph(name)
     # the graph reached the patched kernels: two forwards and one backward
-    # per pooling layer, and every graph has a conv or transposed conv
-    pools = sum(spec.kind == "maxpool2d" for spec in GRAPHS[name]().specs)
+    # per layer of the kind
+    kinds = [spec.kind for spec in GRAPHS[name]().specs]
     assert calls.get("_im2col", 0) > 0
-    assert calls.get("maxpool2d", 0) == 2 * pools
-    assert calls.get("maxpool2d_backward", 0) == pools
+    for kernel, kind in (("maxpool2d", "maxpool2d"), ("conv2d_transpose", "conv2d_transpose"),
+                         ("activate", "activation")):
+        assert calls.get(kernel, 0) == 2 * kinds.count(kind), kernel
+    for kernel, kind in (("maxpool2d_backward", "maxpool2d"), ("conv2d_backward", "conv2d"),
+                         ("activate_backward", "activation")):
+        assert calls.get(kernel, 0) == kinds.count(kind), kernel
     assert got.keys() == want.keys()
     for key in want:
         assert_bitwise_equal(got[key], want[key], f"{name}: {key}")
+
+
+def test_graphs_match_reference_kernels_on_haswell_blas():
+    """The same graph checks in a child process on OpenBLAS's AVX2 (Haswell)
+    kernels, which give other last bits than the default kernel set, with
+    one BLAS thread. (The Haswell kernels' bits also depend on where a
+    multi-threaded GEMM splits its rows, which differs between one GEMM
+    over all rows and the scatter's blocks.)"""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_graph_matches_reference_kernels"],
+        env=env, capture_output=True, text=True, timeout=1200,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    assert f"{len(GRAPHS)} passed" in proc.stdout
