@@ -40,7 +40,7 @@ def main() -> int:
         lr_discriminator=ns.lr_discriminator, seed=ns.seed,
     )
     pair = build_pair(config)
-    train_gan(pair, x, ns.steps, config)
+    train_gan(pair, x, ns.steps)
     if pair.history.aborted_at is not None:
         print(f"training aborted at step {pair.history.aborted_at}", file=sys.stderr)
         return 3

@@ -17,7 +17,6 @@ import numpy as np
 from anomdet.data import Dataset, generate_synthetic_set, inject_gaussian_noise, split_validation
 from anomdet.metrics import confusion_counts, f1_score
 from anomdet.pipelines import (
-    NiCaeConfig,
     build_ni_cae,
     calibrate_thresholds,
     decide_anomaly,
@@ -39,10 +38,9 @@ def one_seed(ns, seed) -> tuple[float, float]:
     ds, _ = inject_gaussian_noise(ds, ns.fraction, ns.mean, ns.variance,
                                   seed=seed, target_split="train")
     good = [s for s in ds.split_samples("train") if s.label == "good"]
-    tr, va = split_validation(Dataset(ds.class_name, good, ds.seed), 0.1, seed=seed)
+    tr, va = split_validation(Dataset(ds.class_name, good), 0.1, seed=seed)
     x, vx = tr.stack(), va.stack()
-    model = build_ni_cae(NiCaeConfig(input_shape=(1, ns.image_size, ns.image_size)),
-                         seed=seed)
+    model = build_ni_cae((1, ns.image_size, ns.image_size), seed=seed)
     train(model, x, x, epochs=ns.epochs, batch_size=ns.batch_size, loss_kind="mse",
           learning_rate=1e-3, val_x=vx, val_t=vx, patience=5, seed=seed)
     thresholds = calibrate_thresholds(model, vx, percentile=95.0,

@@ -3,7 +3,8 @@
 One run = one self-describing directory: the resolved config, checkpoints,
 history, and (after eval) the report all live together, so any completed
 run can be re-evaluated from its directory alone. Exit codes: 0 success,
-1 config error, 2 data error, 3 numeric failure.
+1 config error, 2 data error or a file that cannot be read or written
+(disk full, read-only directory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from .gan import (
 from .metrics import EvalReport, save_histogram
 from .nn import load_model, save_model
 from .pipelines import (
-    CnnConfig,
-    KdCaeConfig,
-    NiCaeConfig,
     ThresholdSet,
     build_cnn,
     build_kd_cae,
@@ -120,7 +118,7 @@ def build_parser() -> _Parser:
 # ------------------------------------------------------------ data loading
 
 
-def _load_dataset(cfg: RunConfig, split: str | None = None) -> Dataset:
+def _read_dataset(cfg: RunConfig, split: str | None = None) -> Dataset:
     """The configured dataset. On directory data, `split` limits ingestion
     to that split; synthetic sets are always generated whole, because both
     splits come from one seeded stream."""
@@ -140,12 +138,12 @@ def _load_dataset(cfg: RunConfig, split: str | None = None) -> Dataset:
         root = Path(env)
     else:
         root = Path(cfg.data_root)
-    return load_image_dir(root, cfg.class_name, allow_png=cfg.allow_png, seed=cfg.seed,
-                          split=split, image_size=cfg.image_size, grayscale=cfg.grayscale)
+    return load_image_dir(root, cfg.class_name, allow_png=cfg.allow_png, split=split,
+                          image_size=cfg.image_size, grayscale=cfg.grayscale)
 
 
 def _subset(ds: Dataset, samples) -> Dataset:
-    return Dataset(ds.class_name, list(samples), ds.seed, ds.skipped)
+    return Dataset(ds.class_name, list(samples), ds.skipped)
 
 
 def _good_split(ds: Dataset, split: str) -> Dataset:
@@ -192,8 +190,9 @@ def _write_noise_plan(plan, ds: Dataset, path: Path) -> None:
 
 
 def _train_val_arrays(ds: Dataset, cfg: RunConfig, labeled: bool):
-    """Split the train samples into train/val arrays (and targets when
-    labeled). Validation is skipped when there are too few samples."""
+    """Split the train samples into (x, t, val x, val t) arrays, the
+    targets None unless labeled. Validation is skipped (None) when there
+    are too few samples."""
     from .data import split_validation
 
     pool = _subset(ds, ds.split_samples("train")) if labeled else _good_split(ds, "train")
@@ -202,16 +201,15 @@ def _train_val_arrays(ds: Dataset, cfg: RunConfig, labeled: bool):
     else:
         tr, va = pool, None
     x = tr.stack()
-    t = None
     vx = va.stack() if va is not None else None
-    vt = None
-    if labeled:
-        t = np.array([[1.0 if s.label == "defect" else 0.0] for s in tr.samples],
-                     dtype=np.float32)
-        if va is not None:
-            vt = np.array([[1.0 if s.label == "defect" else 0.0] for s in va.samples],
-                          dtype=np.float32)
-    return x, t, vx, vt, va
+    if not labeled:
+        return x, None, vx, None
+
+    def targets(part: Dataset) -> np.ndarray:
+        return np.array([[1.0 if s.label == "defect" else 0.0] for s in part.samples],
+                        dtype=np.float32)
+
+    return x, targets(tr), vx, targets(va) if va is not None else None
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
@@ -220,7 +218,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # training reads only the train split; on directory data those samples
     # come first either way, so the noise plan's indices do not move
-    ds = _load_dataset(cfg, "train")
+    ds = _read_dataset(cfg, "train")
     if cfg.noise_train:
         ds, plan = inject_gaussian_noise(
             ds, cfg.noise_fraction, cfg.noise_mean, cfg.noise_variance,
@@ -242,10 +240,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def _train_cnn(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
-    x, t, vx, vt, _ = _train_val_arrays(ds, cfg, labeled=True)
+    x, t, vx, vt = _train_val_arrays(ds, cfg, labeled=True)
     if float(t.max()) == float(t.min()):
         raise DataError("cnn training needs both classes in the train split")
-    model = build_cnn(CnnConfig(input_shape=_input_shape(cfg)), seed=cfg.seed)
+    model = build_cnn(_input_shape(cfg), seed=cfg.seed)
     history = train(
         model, x, t, epochs=cfg.epochs, batch_size=cfg.batch_size, loss_kind="bce",
         learning_rate=_lr(cfg, 1e-3), val_x=vx, val_t=vt,
@@ -258,12 +256,9 @@ def _train_cnn(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
 
 
 def _train_cae(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
-    x, _, vx, _, _ = _train_val_arrays(ds, cfg, labeled=False)
-    shape = _input_shape(cfg)
-    if cfg.model == "kd-cae":
-        model = build_kd_cae(KdCaeConfig(input_shape=shape), seed=cfg.seed)
-    else:
-        model = build_ni_cae(NiCaeConfig(input_shape=shape), seed=cfg.seed)
+    x, _, vx, _ = _train_val_arrays(ds, cfg, labeled=False)
+    build = build_kd_cae if cfg.model == "kd-cae" else build_ni_cae
+    model = build(_input_shape(cfg), seed=cfg.seed)
     history = train(
         model, x, x, epochs=cfg.epochs, batch_size=cfg.batch_size, loss_kind="mse",
         learning_rate=_lr(cfg, 1e-3), val_x=vx, val_t=vx,
@@ -312,7 +307,7 @@ def _train_dcgan(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
     gcfg = _gan_config(cfg)
     x = to_gan_range(_good_split(ds, "train").stack())
     pair = build_pair(gcfg)
-    train_gan(pair, x, cfg.steps, gcfg)
+    train_gan(pair, x, cfg.steps)
     save_model(pair.generator, out / "generator.anom")
     save_model(pair.discriminator, out / "discriminator.anom")
     pair.history.save_csv(out / "history.csv")
@@ -351,7 +346,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     split = ns.split
     # the test-split noise selection counts test samples only, so loading
     # just the scored split perturbs the same images with the same draws
-    ds = _load_dataset(cfg, split)
+    ds = _read_dataset(cfg, split)
     if cfg.noise_test:
         ds, _ = inject_gaussian_noise(
             ds, cfg.noise_fraction, cfg.noise_mean, cfg.noise_variance,
@@ -496,12 +491,15 @@ def cmd_synth(ns: argparse.Namespace) -> int:
     cfg = parse_config(ns.config, overrides)
     if not cfg.data_root.startswith("synthetic:"):
         raise ConfigError("synth needs a synthetic:<shape> data_root")
-    ds = _load_dataset(cfg)
-    out = cfg.resolved_out_dir() / "dataset"
-    manifest = save_dataset(ds, out)
+    if cfg.train_defect_rate > 0:
+        raise ConfigError("synth writes train/good only; train_defect_rate must be 0")
+    ds = _read_dataset(cfg)
+    root = cfg.resolved_out_dir() / "dataset"
+    base = save_dataset(ds, root)
     n_train = len(ds.split_samples("train"))
     n_test = len(ds.split_samples("test"))
-    print(f"wrote {n_train} train / {n_test} test images; manifest {manifest}")
+    print(f"wrote {n_train} train / {n_test} test images under {base}; "
+          f"train on them with --data-root {root} --class-name {ds.class_name}")
     return 0
 
 
@@ -581,6 +579,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        print(f"i/o error: {e.filename2 or e.filename}: {e.strerror or e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

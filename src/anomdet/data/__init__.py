@@ -7,7 +7,6 @@ from .dataset import (
     ImageSample,
     NoisePlan,
     inject_gaussian_noise,
-    load_dataset,
     load_image_dir,
     preprocess,
     save_dataset,
@@ -25,7 +24,6 @@ __all__ = [
     "ImageSample",
     "NoisePlan",
     "inject_gaussian_noise",
-    "load_dataset",
     "load_image_dir",
     "preprocess",
     "save_dataset",

@@ -10,12 +10,12 @@ or 3. Directory layout follows the industrial-inspection convention:
 
 Test images under any folder other than `good` count as defects; the
 folder name is kept as the defect kind. All defect kinds collapse into
-one binary label downstream.
+one binary label downstream. `save_dataset` writes a dataset in this
+layout, so `load_image_dir` reads it back.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,7 +51,6 @@ class ImageSample:
 class Dataset:
     class_name: str
     samples: list[ImageSample]
-    seed: int
     skipped: int = 0  # undecodable files encountered during loading
 
     def split_samples(self, split: str) -> list[ImageSample]:
@@ -87,7 +86,6 @@ def load_image_dir(
     root: str | Path,
     class_name: str,
     allow_png: bool = False,
-    seed: int = 0,
     split: str | None = None,
     image_size: int | None = None,
     grayscale: bool = True,
@@ -144,7 +142,7 @@ def load_image_dir(
                 ingest(sub, "good", "", "test")
             else:
                 ingest(sub, "defect", sub.name, "test")
-    return Dataset(class_name, samples, seed=seed, skipped=skipped)
+    return Dataset(class_name, samples, skipped=skipped)
 
 
 # ----------------------------------------------------------- preprocessing
@@ -220,7 +218,7 @@ def preprocess(dataset: Dataset, target_size: int, grayscale: bool) -> Dataset:
         replace(s, pixels=_preprocess_pixels(s.pixels, target_size, grayscale, s.source_path))
         for s in dataset.samples
     ]
-    return Dataset(dataset.class_name, out_samples, dataset.seed, dataset.skipped)
+    return Dataset(dataset.class_name, out_samples, dataset.skipped)
 
 
 # --------------------------------------------------------- noise injection
@@ -258,7 +256,7 @@ def inject_gaussian_noise(
         noisy = np.clip(s.pixels + noise, 0.0, 1.0)
         out_samples[idx] = replace(s, pixels=noisy)
     plan = NoisePlan(selected, mean, variance, fraction, target_split)
-    return Dataset(dataset.class_name, out_samples, dataset.seed, dataset.skipped), plan
+    return Dataset(dataset.class_name, out_samples, dataset.skipped), plan
 
 
 # ------------------------------------------------------------------ splits
@@ -279,7 +277,7 @@ def split_validation(dataset: Dataset, fraction: float, seed: int = 0) -> tuple[
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     mk = lambda idx: Dataset(
-        dataset.class_name, [dataset.samples[i] for i in idx], dataset.seed, dataset.skipped
+        dataset.class_name, [dataset.samples[i] for i in idx], dataset.skipped
     )
     return mk(train_idx), mk(val_idx)
 
@@ -287,46 +285,21 @@ def split_validation(dataset: Dataset, fraction: float, seed: int = 0) -> tuple[
 # ------------------------------------------------------------------ caching
 
 
-def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
-    """Write samples as 8-bit netpbm files plus a manifest CSV
-    (`path,label,defect_kind,split`). Returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = []
+def save_dataset(dataset: Dataset, root: str | Path) -> Path:
+    """Write samples as 8-bit netpbm files in the directory layout above,
+    under `<root>/<class_name>`, and return that class directory. File
+    names are sample indices, so each folder reads back in sample order.
+    The layout holds no training defects: a defect in the train split is
+    a DataError, raised before any file is written."""
+    if any(s.split == "train" and s.label == "defect" for s in dataset.samples):
+        raise DataError("the directory layout has no place for train-split defects")
+    base = Path(root) / dataset.class_name
     for i, s in enumerate(dataset.samples):
+        directory = base / s.split / (s.defect_kind or s.label)
+        directory.mkdir(parents=True, exist_ok=True)
         u8 = np.clip(np.rint(s.pixels[0] * 255.0), 0, 255).astype(np.uint8)
         if s.pixels.shape[1] == 1:
-            name = f"{i:05d}.pgm"
-            write_pgm(directory / name, u8[0])
+            write_pgm(directory / f"{i:05d}.pgm", u8[0])
         else:
-            name = f"{i:05d}.ppm"
-            write_ppm(directory / name, u8.transpose(1, 2, 0))
-        rows.append((name, s.label, s.defect_kind, s.split))
-    manifest = directory / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "label", "defect_kind", "split"])
-        w.writerows(rows)
-    return manifest
-
-
-def load_dataset(directory: str | Path, class_name: str = "", seed: int = 0) -> Dataset:
-    """Rebuild a dataset from a directory written by save_dataset."""
-    directory = Path(directory)
-    manifest = directory / "manifest.csv"
-    if not manifest.is_file():
-        raise DataError(f"no manifest.csv under {directory}")
-    samples = []
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["path", "label", "defect_kind", "split"]:
-            raise DataError(f"{manifest}: unexpected manifest columns {reader.fieldnames}")
-        for row in reader:
-            path = directory / row["path"]
-            u8 = read_image(path)
-            samples.append(
-                ImageSample(
-                    _to_unit_float(u8), row["label"], row["defect_kind"], row["split"], str(path)
-                )
-            )
-    return Dataset(class_name or directory.name, samples, seed=seed)
+            write_ppm(directory / f"{i:05d}.ppm", u8.transpose(1, 2, 0))
+    return base

@@ -154,4 +154,4 @@ def generate_synthetic_set(
                 f"synthetic://{class_name}/test/{j:05d}",
             )
         )
-    return Dataset(class_name, samples, seed=seed)
+    return Dataset(class_name, samples)

@@ -118,6 +118,6 @@ def fit_toy_discriminator(
     train(
         model, x, t,
         epochs=epochs, batch_size=batch_size, loss_kind="bce",
-        optimizer="rmsprop", learning_rate=learning_rate, seed=seed,
+        learning_rate=learning_rate, seed=seed,
     )
     return model

@@ -11,9 +11,11 @@ from ..errors import DataError, ShapeError
 from ..nn.optim import RmsProp
 from ..rng import stream
 from .losses import discriminator_loss_grads, generator_loss_grad
-from .models import GanConfig, GanPair
+from .models import GanPair
 
 __all__ = ["GanStepRecord", "GanHistory", "train_gan", "to_gan_range", "from_gan_range"]
+
+SNAPSHOT_EVERY = 100  # steps between the snapshots a non-finite loss rolls back to
 
 
 def to_gan_range(x01: np.ndarray) -> np.ndarray:
@@ -71,38 +73,16 @@ class _BatchCycler:
         return out
 
 
-def _snapshot(model):
-    return (
-        {k: v.copy() for k, v in model.params.items()},
-        {k: v.copy() for k, v in model.buffers.items()},
-    )
-
-
-def _restore(model, snap) -> None:
-    params, buffers = snap
-    for k, v in params.items():
-        model.params[k][...] = v
-    for k, v in buffers.items():
-        model.buffers[k][...] = v
-
-
-def train_gan(
-    pair: GanPair,
-    images: np.ndarray,
-    steps: int,
-    config: Optional[GanConfig] = None,
-    *,
-    snapshot_every: int = 100,
-) -> GanPair:
+def train_gan(pair: GanPair, images: np.ndarray, steps: int) -> GanPair:
     """Run `steps` alternating updates on `images` (already in [-1,1]).
 
-    Each step takes `config.k_disc_steps` discriminator updates followed by
-    one generator update; both players use rmsprop at their configured
-    rates. History is appended per step. A non-finite loss aborts the run,
-    restores the last snapshot (taken every `snapshot_every` steps), and
-    stamps `history.aborted_at`.
+    Each step takes `pair.config.k_disc_steps` discriminator updates
+    followed by one generator update; both players use rmsprop at their
+    configured rates. History is appended per step. A non-finite loss
+    aborts the run, restores the last snapshot (taken every
+    `SNAPSHOT_EVERY` steps), and stamps `history.aborted_at`.
     """
-    cfg = config if config is not None else pair.config
+    cfg = pair.config
     cfg.validate()
     x = np.asarray(images, dtype=np.float32)
     expect = (cfg.channels, cfg.image_size, cfg.image_size)
@@ -122,7 +102,7 @@ def train_gan(
     opt_d = RmsProp(lr=cfg.lr_discriminator)
     m = cfg.batch_size
 
-    good = (_snapshot(gen), _snapshot(disc))
+    good = (gen.snapshot(), disc.snapshot())
     start = len(pair.history.records)
     for s in range(start + 1, start + steps + 1):
         j_d = mean_real = 0.0
@@ -152,14 +132,14 @@ def train_gan(
         opt_g.step(gen.params, grads_g)
 
         if not (np.isfinite(j_d) and np.isfinite(j_g)):
-            _restore(gen, good[0])
-            _restore(disc, good[1])
+            gen.restore(good[0])
+            disc.restore(good[1])
             pair.history.aborted_at = s
             break
 
         pair.history.records.append(
             GanStepRecord(s, j_d, j_g, mean_real, float(d_out.mean()))
         )
-        if s % snapshot_every == 0:
-            good = (_snapshot(gen), _snapshot(disc))
+        if s % SNAPSHOT_EVERY == 0:
+            good = (gen.snapshot(), disc.snapshot())
     return pair

@@ -4,7 +4,7 @@ optimizers, and binary model files."""
 from . import functional
 from .losses import bce, loss_eval, mse
 from .model import LAYER_KINDS, LayerSpec, ModelGraph
-from .optim import RmsProp, Sgd, make_optimizer
+from .optim import RmsProp, Sgd
 from .serialize import load_model, save_model
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "loss_eval",
     "Sgd",
     "RmsProp",
-    "make_optimizer",
     "save_model",
     "load_model",
 ]

@@ -293,3 +293,15 @@ class ModelGraph:
             d, *layer_grads = kind.backward(spec, d, [params[k] for k in param_keys], caches.pop())
             grads.update(zip(param_keys, layer_grads))
         return d, grads
+
+    # -- snapshots ----------------------------------------------------
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Copies of every param and buffer, keyed as in `params`/`buffers`."""
+        return {k: v.copy() for store in (self.params, self.buffers) for k, v in store.items()}
+
+    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy a `snapshot` back into the existing param and buffer arrays."""
+        for store in (self.params, self.buffers):
+            for k, v in store.items():
+                v[...] = snapshot[k]

@@ -50,11 +50,3 @@ class RmsProp:
             acc *= self.rho
             acc += (1.0 - self.rho) * np.square(g, dtype=np.float64)
             p -= (self.lr * g / np.sqrt(acc + self.eps)).astype(p.dtype, copy=False)
-
-
-def make_optimizer(kind: str, lr: float, rho: float = 0.9, eps: float = 1e-8):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "rmsprop":
-        return RmsProp(lr, rho, eps)
-    raise ConfigError(f"unknown optimizer {kind!r}; expected 'sgd' or 'rmsprop'")

@@ -1,15 +1,7 @@
 """Detector pipelines: model builders, training loop, anomaly scoring,
 thresholding, and SSIM diagnostics."""
 
-from .builders import (
-    NI_CAE_FILTERS,
-    CnnConfig,
-    KdCaeConfig,
-    NiCaeConfig,
-    build_cnn,
-    build_kd_cae,
-    build_ni_cae,
-)
+from .builders import NI_CAE_FILTERS, build_cnn, build_kd_cae, build_ni_cae
 from .scoring import (
     KDE_LOG_FLOOR,
     KdeModel,
@@ -27,9 +19,6 @@ from .training import EarlyStopper, EpochRecord, TrainHistory, train
 
 __all__ = [
     "KDE_LOG_FLOOR",
-    "CnnConfig",
-    "KdCaeConfig",
-    "NiCaeConfig",
     "NI_CAE_FILTERS",
     "build_cnn",
     "build_kd_cae",

@@ -1,10 +1,12 @@
-"""Model configurations and graph builders for the three detectors.
+"""Graph builders for the three detectors. Each takes the (C, H, W) input
+shape and an init seed; a shape the graph cannot take is a ConfigError.
 
 Shape conventions baked in here:
 
-  CNN        five conv(3x3, 16)+relu+pool blocks, then dense(hidden)+relu
-             and dense(1)+sigmoid. Pooling floors odd extents, so the
-             default 200px input traces 200-100-50-25-12-6.
+  CNN        five conv(3x3, 16)+relu+pool blocks, then dense(64)+relu
+             and dense(1)+sigmoid. Pooling floors odd extents, so a
+             200px input traces 200-100-50-25-12-6. Input must be at
+             least 32px.
   KD-CAE     six encoder convs (two keep spatial size, four halve it
              via stride 2), so 128px drops to 8x8 at 128 channels; the
              flattened bottleneck is 8192 long. Decoder mirrors with
@@ -17,102 +19,48 @@ Shape conventions baked in here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import ConfigError
 from ..nn import LayerSpec, ModelGraph
 
 NI_CAE_FILTERS = (128, 64, 16, 8, 4)
+NI_CAE_BOTTLENECK = 512  # dense code width
+CNN_FILTERS = 16  # every conv block
+CNN_HIDDEN = 64  # dense units before the output
 
 
-@dataclass(frozen=True)
-class CnnConfig:
-    input_shape: tuple[int, int, int] = (3, 200, 200)
-    filters: int = 16
-    blocks: int = 5
-    hidden_units: int = 64  # unit count is a config default, not a derived value
-    optimizer: str = "rmsprop"
-    loss: str = "bce"
-
-    def validate(self):
-        if self.blocks != 5:
-            raise ConfigError(f"cnn uses exactly 5 conv blocks, got {self.blocks}")
-        if self.hidden_units < 1 or self.filters < 1:
-            raise ConfigError("cnn hidden_units and filters must be >= 1")
-        c, h, w = self.input_shape
-        if h != w:
-            raise ConfigError(f"cnn input must be square, got {h}x{w}")
-        e = h
-        for _ in range(self.blocks):
-            if e < 2:
-                raise ConfigError(f"cnn input {h}px too small for 5 pool stages")
-            e //= 2
-        if e < 1:
-            raise ConfigError(f"cnn input {h}px too small for 5 pool stages")
-
-
-@dataclass(frozen=True)
-class KdCaeConfig:
-    input_shape: tuple[int, int, int] = (1, 128, 128)
-    loss: str = "mse"
-
-    def validate(self):
-        c, h, w = self.input_shape
-        if c not in (1, 3):
-            raise ConfigError(f"kd-cae input channels must be 1 or 3, got {c}")
-        if h != w:
-            raise ConfigError(f"kd-cae input must be square, got {h}x{w}")
-        if h % 16 != 0 or h < 16:
-            raise ConfigError(f"kd-cae input size must be a multiple of 16, got {h}")
-
-    @property
-    def latent_dim(self) -> int:
-        return 128 * (self.input_shape[1] // 16) ** 2
-
-
-@dataclass(frozen=True)
-class NiCaeConfig:
-    input_shape: tuple[int, int, int] = (1, 128, 128)
-    bottleneck_units: int = 512
-    patience: int = 5
-    loss: str = "mse"
-
-    def validate(self):
-        c, h, w = self.input_shape
-        if c != 1:
-            raise ConfigError(f"ni-cae works on grayscale input, got {c} channels")
-        if h != w:
-            raise ConfigError(f"ni-cae input must be square, got {h}x{w}")
-        if h % 32 != 0 or h < 32:
-            raise ConfigError(f"ni-cae input size must be a multiple of 32, got {h}")
-        if self.bottleneck_units < 1:
-            raise ConfigError("ni-cae bottleneck must have >= 1 units")
-
-
-def build_cnn(config: CnnConfig, seed: int) -> ModelGraph:
+def build_cnn(input_shape: tuple[int, int, int], seed: int) -> ModelGraph:
     """Supervised defect classifier; output (N, 1) sigmoid probability."""
-    config.validate()
+    _, h, w = input_shape
+    if h != w:
+        raise ConfigError(f"cnn input must be square, got {h}x{w}")
+    if h < 32:  # each of the 5 pools needs an extent of at least 2
+        raise ConfigError(f"cnn input {h}px too small for 5 pool stages")
     specs = []
-    for _ in range(config.blocks):
-        specs.append(LayerSpec("conv2d", filters=config.filters, kernel=3, stride=1, padding=1))
+    for _ in range(5):
+        specs.append(LayerSpec("conv2d", filters=CNN_FILTERS, kernel=3, stride=1, padding=1))
         specs.append(LayerSpec("activation", activation="relu"))
         specs.append(LayerSpec("maxpool2d", allow_odd=True))
     specs.append(LayerSpec("flatten"))
-    specs.append(LayerSpec("dense", units=config.hidden_units))
+    specs.append(LayerSpec("dense", units=CNN_HIDDEN))
     specs.append(LayerSpec("activation", activation="relu"))
     specs.append(LayerSpec("dense", units=1))
     specs.append(LayerSpec("activation", activation="sigmoid"))
-    return ModelGraph(specs, config.input_shape, rng_seed=seed, model_kind="cnn")
+    return ModelGraph(specs, input_shape, rng_seed=seed, model_kind="cnn")
 
 
-def build_kd_cae(config: KdCaeConfig, seed: int) -> ModelGraph:
+def build_kd_cae(input_shape: tuple[int, int, int], seed: int) -> ModelGraph:
     """Autoencoder scored by reconstruction error and latent density.
 
     The bottleneck is the flatten layer between encoder and decoder; its
     output length is 128 * (size/16)^2 (8192 at the default 128px).
     """
-    config.validate()
-    c, h, _ = config.input_shape
+    c, h, w = input_shape
+    if c not in (1, 3):
+        raise ConfigError(f"kd-cae input channels must be 1 or 3, got {c}")
+    if h != w:
+        raise ConfigError(f"kd-cae input must be square, got {h}x{w}")
+    if h % 16 != 0 or h < 16:
+        raise ConfigError(f"kd-cae input size must be a multiple of 16, got {h}")
     s = h // 16
     enc = [
         ("conv2d", 32, 3, 1),
@@ -142,14 +90,19 @@ def build_kd_cae(config: KdCaeConfig, seed: int) -> ModelGraph:
         last = i == len(dec) - 1
         specs.append(LayerSpec("activation", activation="sigmoid" if last else "relu"))
     return ModelGraph(
-        specs, config.input_shape, rng_seed=seed, model_kind="kd-cae", bottleneck=bottleneck
+        specs, input_shape, rng_seed=seed, model_kind="kd-cae", bottleneck=bottleneck
     )
 
 
-def build_ni_cae(config: NiCaeConfig, seed: int) -> ModelGraph:
+def build_ni_cae(input_shape: tuple[int, int, int], seed: int) -> ModelGraph:
     """Noise-injection autoencoder with a dense-512 bottleneck."""
-    config.validate()
-    _, h, _ = config.input_shape
+    c, h, w = input_shape
+    if c != 1:
+        raise ConfigError(f"ni-cae works on grayscale input, got {c} channels")
+    if h != w:
+        raise ConfigError(f"ni-cae input must be square, got {h}x{w}")
+    if h % 32 != 0 or h < 32:
+        raise ConfigError(f"ni-cae input size must be a multiple of 32, got {h}")
     s = h // 32
     specs = []
     for f in NI_CAE_FILTERS:
@@ -158,7 +111,7 @@ def build_ni_cae(config: NiCaeConfig, seed: int) -> ModelGraph:
         specs.append(LayerSpec("maxpool2d"))
     flat = NI_CAE_FILTERS[-1] * s * s
     specs.append(LayerSpec("flatten"))
-    specs.append(LayerSpec("dense", units=config.bottleneck_units))
+    specs.append(LayerSpec("dense", units=NI_CAE_BOTTLENECK))
     specs.append(LayerSpec("activation", activation="relu"))
     bottleneck = len(specs) - 1  # post-activation dense-512 code
     specs.append(LayerSpec("dense", units=flat))
@@ -171,5 +124,5 @@ def build_ni_cae(config: NiCaeConfig, seed: int) -> ModelGraph:
     specs.append(LayerSpec("conv2d", filters=1, kernel=1, stride=1, padding=0))
     specs.append(LayerSpec("activation", activation="sigmoid"))
     return ModelGraph(
-        specs, config.input_shape, rng_seed=seed, model_kind="ni-cae", bottleneck=bottleneck
+        specs, input_shape, rng_seed=seed, model_kind="ni-cae", bottleneck=bottleneck
     )

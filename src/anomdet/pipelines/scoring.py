@@ -13,10 +13,11 @@ from ..errors import ConfigError, DataError, ShapeError
 from ..nn import ModelGraph
 
 KDE_LOG_FLOOR = -1e12
+SCORE_BATCH = 16  # images per eval forward pass
 
 
 def score_batch(
-    model: ModelGraph, x: np.ndarray, batch_size: int = 16, recon: np.ndarray | None = None
+    model: ModelGraph, x: np.ndarray, recon: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-sample mean squared reconstruction error, float64, shape (N,),
     and the flattened bottleneck activations, shape (N, d), from one
@@ -28,30 +29,30 @@ def score_batch(
     errors = np.empty(x.shape[0], dtype=np.float64)
     latent = None if model.bottleneck is None else []
     keep = 0 if recon is None else len(recon)
-    for i in range(0, x.shape[0], batch_size):
-        xb = x[i : i + batch_size]
+    for i in range(0, x.shape[0], SCORE_BATCH):
+        xb = x[i : i + SCORE_BATCH]
         out = model.forward(xb, mode="eval", latent=latent)
         if out.shape != xb.shape:
             raise ShapeError(
                 f"reconstruction shape {out.shape} does not match input {xb.shape}"
             )
         if i < keep:
-            recon[i : i + batch_size] = out[: keep - i]
+            recon[i : i + SCORE_BATCH] = out[: keep - i]
         diff = out.astype(np.float64) - xb.astype(np.float64)
         errors[i : i + xb.shape[0]] = np.mean(diff * diff, axis=(1, 2, 3))
     latents = None if latent is None else np.concatenate([z.reshape(len(z), -1) for z in latent])
     return errors, latents
 
 
-def encode_latent(model: ModelGraph, x: np.ndarray, batch_size: int = 16) -> np.ndarray:
+def encode_latent(model: ModelGraph, x: np.ndarray) -> np.ndarray:
     """Flattened bottleneck activations, shape (N, d)."""
     if model.bottleneck is None:
         raise ConfigError(f"model kind {model.model_kind!r} has no designated bottleneck layer")
     if x.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) batch, got rank {x.ndim}")
     chunks = []
-    for i in range(0, x.shape[0], batch_size):
-        z = model.forward_to(model.bottleneck, x[i : i + batch_size], mode="eval")
+    for i in range(0, x.shape[0], SCORE_BATCH):
+        z = model.forward_to(model.bottleneck, x[i : i + SCORE_BATCH], mode="eval")
         chunks.append(z.reshape(z.shape[0], -1))
     return np.concatenate(chunks, axis=0)
 

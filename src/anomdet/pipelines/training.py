@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, NumericError
-from ..nn import ModelGraph, loss_eval, make_optimizer
+from ..nn import ModelGraph, RmsProp, loss_eval
 from ..rng import stream
 
 
@@ -72,14 +72,13 @@ def train(
     epochs: int,
     batch_size: int,
     loss_kind: str,
-    optimizer: str = "rmsprop",
     learning_rate: float = 1e-3,
     val_x: np.ndarray | None = None,
     val_t: np.ndarray | None = None,
     patience: int | None = None,
     seed: int = 0,
 ) -> TrainHistory:
-    """Train in place; returns the per-epoch history.
+    """Train in place with RmsProp; returns the per-epoch history.
 
     Autoencoders pass targets equal to inputs; classifiers pass labels.
     With a validation set and a patience, training stops once validation
@@ -95,12 +94,11 @@ def train(
         )
     if batch_size < 1:
         raise DataError(f"batch size must be >= 1, got {batch_size}")
-    opt = make_optimizer(optimizer, learning_rate)
+    opt = RmsProp(learning_rate)
     stopper = None
     if patience is not None and val_x is not None:
         stopper = EarlyStopper(patience)
-    best_params: dict[str, np.ndarray] | None = None
-    best_buffers: dict[str, np.ndarray] | None = None
+    best: dict[str, np.ndarray] | None = None
     history = TrainHistory()
     n = train_x.shape[0]
     for epoch in range(1, epochs + 1):
@@ -128,19 +126,16 @@ def train(
                 raise NumericError(f"validation loss {val_loss} at epoch {epoch}")
         history.records.append(EpochRecord(epoch, train_loss, val_loss))
         if stopper is not None:
-            improved = val_loss < stopper.best
             stop = stopper.update(epoch, val_loss)
-            if improved:
-                best_params = {k: v.copy() for k, v in model.params.items()}
-                best_buffers = {k: v.copy() for k, v in model.buffers.items()}
+            if stopper.best_epoch == epoch:
+                best = model.snapshot()
             if stop:
                 history.stopped_early = True
                 break
     if stopper is not None:
         history.best_epoch = stopper.best_epoch
-        if best_params is not None:
-            model.params = best_params
-            model.buffers = best_buffers
+        if best is not None:
+            model.restore(best)
     elif history.records:
         history.best_epoch = min(
             history.records, key=lambda r: (r.val_loss if r.val_loss is not None else r.train_loss)

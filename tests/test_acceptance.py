@@ -30,9 +30,6 @@ from anomdet.metrics import ConfusionCounts, confusion_counts, f1_score, roc_auc
 from anomdet.nn import LayerSpec, ModelGraph, bce, load_model, mse, save_model
 from anomdet.nn import functional as F
 from anomdet.pipelines import (
-    CnnConfig,
-    KdCaeConfig,
-    NiCaeConfig,
     ThresholdSet,
     build_cnn,
     build_kd_cae,
@@ -274,7 +271,7 @@ def test_a2_formula_suite(criterion):
 
 
 def _subset(ds, samples):
-    return Dataset(ds.class_name, list(samples), ds.seed, ds.skipped)
+    return Dataset(ds.class_name, list(samples), ds.skipped)
 
 
 def _good_train_val(ds, seed):
@@ -303,7 +300,7 @@ def test_a3_kd_cae_end_to_end(criterion):
     seed = 101
     ds = generate_synthetic_set("disk", 100, 40, 0.5, 64, seed=seed)
     x, vx = _good_train_val(ds, seed)
-    model = build_kd_cae(KdCaeConfig(input_shape=(1, 64, 64)), seed=seed)
+    model = build_kd_cae((1, 64, 64), seed=seed)
     history = train(model, x, x, epochs=100, batch_size=16, loss_kind="mse",
                     learning_rate=1e-3, val_x=vx, val_t=vx, patience=5, seed=seed)
     kde = fit_kde(encode_latent(model, x))
@@ -327,7 +324,7 @@ def test_a4_noise_degradation_direction(criterion):
         ds = generate_synthetic_set("disk", 100, 40, 0.5, 64, seed=seed)
         ds, _ = inject_gaussian_noise(ds, 0.10, 0.0, 0.001, seed=seed, target_split="train")
         x, vx = _good_train_val(ds, seed)
-        model = build_ni_cae(NiCaeConfig(input_shape=(1, 64, 64)), seed=seed)
+        model = build_ni_cae((1, 64, 64), seed=seed)
         train(model, x, x, epochs=40, batch_size=16, loss_kind="mse",
               learning_rate=1e-3, val_x=vx, val_t=vx, patience=5, seed=seed)
         ts = calibrate_thresholds(model, vx, percentile=95.0, combine_rule="recon_only")
@@ -380,7 +377,7 @@ def _a6_run():
     config = GanConfig(image_size=32, channels=1, base_channels=64, batch_size=32,
                        lr_generator=2e-4, lr_discriminator=3e-5, k_disc_steps=1, seed=606)
     pair = build_pair(config)
-    train_gan(pair, x, 2000, config)
+    train_gan(pair, x, 2000)
     return pair
 
 
@@ -420,7 +417,7 @@ def test_a7_cnn_sanity(criterion):
     x, vx = tr.stack(), va.stack()
     t = np.array([[1.0 if s.label == "defect" else 0.0] for s in tr.samples], dtype=np.float32)
     vt = np.array([[1.0 if s.label == "defect" else 0.0] for s in va.samples], dtype=np.float32)
-    model = build_cnn(CnnConfig(input_shape=(1, 64, 64)), seed=seed)
+    model = build_cnn((1, 64, 64), seed=seed)
     train(model, x, t, epochs=20, batch_size=16, loss_kind="bce",
           learning_rate=1e-3, val_x=vx, val_t=vt, patience=5, seed=seed)
     probs = model.forward(ds.stack("test"), mode="eval")[:, 0]
@@ -438,7 +435,7 @@ def test_a8_determinism_and_persistence(criterion, tmp_path):
     seed = 21
     ds = generate_synthetic_set("disk", 12, 8, 0.5, 32, seed=seed)
     x, vx = _good_train_val(ds, seed)
-    model = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=seed)
+    model = build_kd_cae((1, 32, 32), seed=seed)
     train(model, x, x, epochs=3, batch_size=4, loss_kind="mse",
           learning_rate=1e-3, seed=seed)
     kde = fit_kde(encode_latent(model, x))
@@ -482,8 +479,7 @@ def test_a8_determinism_and_persistence(criterion, tmp_path):
 
 def _tiny_dataset(k):
     px = np.zeros((1, 1, 2, 2), dtype=np.float32)
-    return Dataset("t", [ImageSample(px, "good", "", "train", f"s{i}") for i in range(k)],
-                   seed=0)
+    return Dataset("t", [ImageSample(px, "good", "", "train", f"s{i}") for i in range(k)])
 
 
 def test_a9_invariant_suites(criterion):

@@ -11,14 +11,14 @@ import pytest
 
 from anomdet.gan import GanConfig, build_discriminator, build_generator
 from anomdet.nn import save_model
-from anomdet.pipelines import CnnConfig, KdCaeConfig, NiCaeConfig, build_cnn, build_kd_cae, build_ni_cae
+from anomdet.pipelines import build_cnn, build_kd_cae, build_ni_cae
 
 _GAN = GanConfig(image_size=32, base_channels=8)
 
 BUILDERS = {
-    "cnn": lambda: build_cnn(CnnConfig(input_shape=(1, 32, 32)), seed=0),
-    "kd-cae": lambda: build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=0),
-    "ni-cae": lambda: build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=0),
+    "cnn": lambda: build_cnn((1, 32, 32), seed=0),
+    "kd-cae": lambda: build_kd_cae((1, 32, 32), seed=0),
+    "ni-cae": lambda: build_ni_cae((1, 32, 32), seed=0),
     "dcgan-generator": lambda: build_generator(_GAN),
     "dcgan-discriminator": lambda: build_discriminator(_GAN),
 }

@@ -324,10 +324,10 @@ def test_damaged_checkpoint_is_data_error(kd_run, tmp_path, capsys, damage):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_artifacts_are_replaced_whole(kd_run, tmp_path, monkeypatch):
+def test_artifacts_are_replaced_whole(kd_run, tmp_path, monkeypatch, capsys):
     """train and eval write each artifact beside its final path and rename
     it over that path; a rename that fails leaves the old file and no temp
-    file behind."""
+    file behind, and the command exits 2 naming the file."""
     import anomdet.atomic as atomic
 
     clone = tmp_path / "run"
@@ -344,10 +344,13 @@ def test_artifacts_are_replaced_whole(kd_run, tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(atomic.os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        main(["eval", "--run", str(clone)])
-    with pytest.raises(OSError):
-        main(["train", *KD_ARGS, "--out", str(clone)])
+    capsys.readouterr()
+    assert main(["eval", "--run", str(clone)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"i/o error: {clone / 'report.json'}: No space left on device"]
+    assert main(["train", *KD_ARGS, "--out", str(clone)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"i/o error: {clone / 'checkpoint.anom'}: No space left on device"]
     assert replaced == ["report.json", "checkpoint.anom"]
     after = {f.name: f.read_bytes() for f in clone.iterdir() if f.is_file()}
     assert after == before  # the old artifacts, and no temp files
@@ -382,10 +385,41 @@ def test_synth_writes_dataset(tmp_path):
         "--n-train", "4", "--n-test", "4", "--out", str(out),
     ])
     assert rc == 0
-    manifest = out / "dataset" / "manifest.csv"
-    rows = manifest.read_text().splitlines()
-    assert rows[0] == "path,label,defect_kind,split"
-    assert len(rows) == 1 + 8
+    base = out / "dataset" / "synthetic-rect"
+    files = sorted(str(f.relative_to(base)) for f in base.rglob("*") if f.is_file())
+    assert len(files) == 8
+    assert [f for f in files if f.startswith("train/")] == [
+        f"train/good/{i:05d}.pgm" for i in range(4)]
+    assert len([f for f in files if f.startswith("test/good/")]) == 2  # defect_rate 0.5
+    assert not (out / "dataset" / "manifest.csv").exists()
+
+
+def test_synth_output_trains_as_directory_data(tmp_path):
+    """synth writes the layout a directory data_root reads: a zero-epoch
+    train on it exits 0, and ingestion gives the generated pixels rounded
+    to 8 bits."""
+    from anomdet.data import generate_synthetic_set, load_image_dir
+
+    out = tmp_path / "synthout"
+    sizing = ["--image-size", "32", "--n-train", "6", "--n-test", "4", "--seed", "5"]
+    assert main(["synth", "--data-root", "synthetic:disk", *sizing, "--out", str(out)]) == 0
+    rc = main(["train", "--model", "kd-cae", "--data-root", str(out / "dataset"),
+               "--class-name", "synthetic-disk", *sizing, "--epochs", "0",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    # what that train read: the train split, preprocessed to 32 px
+    got = load_image_dir(out / "dataset", "synthetic-disk", split="train", image_size=32)
+    want = generate_synthetic_set("disk", 6, 4, 0.5, 32, seed=5).stack("train")
+    want_u8 = np.clip(np.rint(want * 255.0), 0, 255).astype(np.uint8)
+    assert got.stack().tobytes() == (want_u8.astype(np.float32) / 255.0).tobytes()
+
+
+def test_synth_refuses_train_defects(tmp_path, capsys):
+    rc = main(["synth", "--data-root", "synthetic:disk", "--train-defect-rate", "0.5",
+               "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "train_defect_rate" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_report_merges_and_skips(kd_run, tmp_path):

@@ -9,7 +9,6 @@ from anomdet.data import (
     Dataset,
     ImageSample,
     inject_gaussian_noise,
-    load_dataset,
     load_image_dir,
     preprocess,
     save_dataset,
@@ -121,7 +120,7 @@ def test_loader_pixels_unit_range(tmp_path):
 
 def test_preprocess_constant_image_value_preserved():
     px = np.full((1, 1, 32, 32), 0.25, dtype=np.float32)
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     out = preprocess(ds, 8, grayscale=True)
     np.testing.assert_allclose(out.samples[0].pixels, 0.25, atol=1e-7)
     assert out.samples[0].pixels.shape == (1, 1, 8, 8)
@@ -130,7 +129,7 @@ def test_preprocess_constant_image_value_preserved():
 def test_preprocess_luminance_weights():
     px = np.zeros((1, 3, 4, 4), dtype=np.float32)
     px[0, 0] = 1.0  # pure red
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     out = preprocess(ds, 4, grayscale=True)
     np.testing.assert_allclose(out.samples[0].pixels, 0.299, atol=1e-6)
 
@@ -138,7 +137,7 @@ def test_preprocess_luminance_weights():
 def test_preprocess_checkerboard_block_mean():
     px = np.indices((4, 4)).sum(axis=0) % 2
     px = px.astype(np.float32)[None, None]
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     out = preprocess(ds, 2, grayscale=True)
     np.testing.assert_allclose(out.samples[0].pixels, 0.5, atol=1e-7)
 
@@ -146,7 +145,7 @@ def test_preprocess_checkerboard_block_mean():
 def test_preprocess_center_crop_nonsquare():
     px = np.zeros((1, 1, 8, 12), dtype=np.float32)
     px[0, 0, :, 2:10] = 1.0  # center 8x8 block ones
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     out = preprocess(ds, 8, grayscale=True)
     np.testing.assert_allclose(out.samples[0].pixels, 1.0)
 
@@ -154,7 +153,7 @@ def test_preprocess_center_crop_nonsquare():
 def test_preprocess_bilinear_non_multiple():
     rng = np.random.default_rng(0)
     px = rng.uniform(0, 1, (1, 1, 12, 12)).astype(np.float32)
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     out = preprocess(ds, 8, grayscale=True)  # 12 -> 8 not integer ratio
     assert out.samples[0].pixels.shape == (1, 1, 8, 8)
     assert out.samples[0].pixels.min() >= 0.0 and out.samples[0].pixels.max() <= 1.0
@@ -163,7 +162,7 @@ def test_preprocess_bilinear_non_multiple():
 def test_preprocess_idempotent():
     rng = np.random.default_rng(1)
     px = rng.uniform(0, 1, (1, 3, 40, 40)).astype(np.float32)
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     once = preprocess(ds, 10, grayscale=True)
     twice = preprocess(once, 10, grayscale=True)
     np.testing.assert_array_equal(
@@ -172,7 +171,7 @@ def test_preprocess_idempotent():
 
 
 def test_preprocess_refuses_upscale():
-    ds = Dataset("c", [gray_sample(size=8)], seed=0)
+    ds = Dataset("c", [gray_sample(size=8)])
     with pytest.raises(DataError, match="upscal"):
         preprocess(ds, 16, grayscale=True)
 
@@ -181,14 +180,14 @@ def test_preprocess_refuses_upscale():
 
 
 def test_noise_exact_count_60():
-    ds = Dataset("c", [gray_sample() for _ in range(60)], seed=0)
+    ds = Dataset("c", [gray_sample() for _ in range(60)])
     noisy, plan = inject_gaussian_noise(ds, fraction=0.10, seed=1)
     assert len(plan.selected_indices) == 6
     assert len(set(plan.selected_indices)) == 6
 
 
 def test_noise_fraction_zero_unchanged():
-    ds = Dataset("c", [gray_sample() for _ in range(5)], seed=0)
+    ds = Dataset("c", [gray_sample() for _ in range(5)])
     noisy, plan = inject_gaussian_noise(ds, fraction=0.0, seed=1)
     assert plan.selected_indices == ()
     for a, b in zip(ds.samples, noisy.samples):
@@ -196,7 +195,7 @@ def test_noise_fraction_zero_unchanged():
 
 
 def test_noise_untouched_samples_bitwise_identical():
-    ds = Dataset("c", [gray_sample(value=0.3) for _ in range(10)], seed=0)
+    ds = Dataset("c", [gray_sample(value=0.3) for _ in range(10)])
     noisy, plan = inject_gaussian_noise(ds, fraction=0.10, seed=2)
     assert len(plan.selected_indices) == 1
     for i, (a, b) in enumerate(zip(ds.samples, noisy.samples)):
@@ -209,7 +208,7 @@ def test_noise_untouched_samples_bitwise_identical():
 def test_noise_magnitude_matches_folded_gaussian():
     # mean |delta| of N(0, 0.001) noise is sigma*sqrt(2/pi) ~ 0.02523;
     # on a mid-gray image the clamp never triggers
-    ds = Dataset("c", [gray_sample(value=0.5, size=400)], seed=0)
+    ds = Dataset("c", [gray_sample(value=0.5, size=400)])
     noisy, plan = inject_gaussian_noise(ds, fraction=1.0, seed=3)
     delta = np.abs(noisy.samples[0].pixels.astype(np.float64) - 0.5)
     expect = np.sqrt(0.001) * np.sqrt(2.0 / np.pi)
@@ -218,7 +217,7 @@ def test_noise_magnitude_matches_folded_gaussian():
 
 
 def test_noise_clamps_to_unit_range():
-    ds = Dataset("c", [gray_sample(value=1.0, size=64)], seed=0)
+    ds = Dataset("c", [gray_sample(value=1.0, size=64)])
     noisy, _ = inject_gaussian_noise(ds, fraction=1.0, seed=4)
     assert noisy.samples[0].pixels.max() <= 1.0
     assert noisy.samples[0].pixels.min() >= 0.0
@@ -228,7 +227,7 @@ def test_noise_targets_requested_split():
     samples = [gray_sample(split="train") for _ in range(10)] + [
         gray_sample(split="test") for _ in range(10)
     ]
-    ds = Dataset("c", samples, seed=0)
+    ds = Dataset("c", samples)
     _, plan = inject_gaussian_noise(ds, fraction=0.5, seed=5, target_split="test")
     assert len(plan.selected_indices) == 5
     assert all(idx >= 10 for idx in plan.selected_indices)
@@ -237,13 +236,13 @@ def test_noise_targets_requested_split():
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 500))
 def test_noise_cardinality_floor_property(k):
-    ds = Dataset("c", [gray_sample(size=4) for _ in range(k)], seed=0)
+    ds = Dataset("c", [gray_sample(size=4) for _ in range(k)])
     _, plan = inject_gaussian_noise(ds, fraction=0.10, seed=6)
     assert len(plan.selected_indices) == int(0.10 * k)
 
 
 def test_noise_rejects_bad_fraction():
-    ds = Dataset("c", [gray_sample()], seed=0)
+    ds = Dataset("c", [gray_sample()])
     with pytest.raises(DataError, match="fraction"):
         inject_gaussian_noise(ds, fraction=1.5)
 
@@ -252,14 +251,14 @@ def test_noise_rejects_bad_fraction():
 
 
 def test_split_10_at_02_gives_8_2():
-    ds = Dataset("c", [gray_sample() for _ in range(10)], seed=0)
+    ds = Dataset("c", [gray_sample() for _ in range(10)])
     train, val = split_validation(ds, 0.2, seed=7)
     assert len(train.samples) == 8 and len(val.samples) == 2
 
 
 def test_split_union_is_original_multiset():
     samples = [gray_sample(value=i / 20) for i in range(20)]
-    ds = Dataset("c", samples, seed=0)
+    ds = Dataset("c", samples)
     train, val = split_validation(ds, 0.25, seed=8)
     got = sorted(float(s.pixels[0, 0, 0, 0]) for s in train.samples + val.samples)
     want = sorted(float(s.pixels[0, 0, 0, 0]) for s in samples)
@@ -268,7 +267,7 @@ def test_split_union_is_original_multiset():
 
 
 def test_split_seeds_give_distinct_partitions():
-    ds = Dataset("c", [gray_sample(value=i / 40) for i in range(40)], seed=0)
+    ds = Dataset("c", [gray_sample(value=i / 40) for i in range(40)])
     seen = set()
     for seed in range(100):
         _, val = split_validation(ds, 0.2, seed=seed)
@@ -277,7 +276,7 @@ def test_split_seeds_give_distinct_partitions():
 
 
 def test_split_deterministic():
-    ds = Dataset("c", [gray_sample(value=i / 10) for i in range(10)], seed=0)
+    ds = Dataset("c", [gray_sample(value=i / 10) for i in range(10)])
     a = split_validation(ds, 0.3, seed=9)
     b = split_validation(ds, 0.3, seed=9)
     for x, y in zip(a[0].samples, b[0].samples):
@@ -285,7 +284,7 @@ def test_split_deterministic():
 
 
 def test_split_too_few_samples():
-    ds = Dataset("c", [gray_sample()], seed=0)
+    ds = Dataset("c", [gray_sample()])
     with pytest.raises(DataError, match="at least 2"):
         split_validation(ds, 0.5)
 
@@ -294,43 +293,55 @@ def test_split_too_few_samples():
 
 
 def test_dataset_cache_round_trip(tmp_path):
+    """save_dataset writes the directory layout that load_image_dir reads:
+    train/good, then test/good and test/<defect_kind> in folder order."""
     rng = np.random.default_rng(10)
     samples = []
-    for i in range(4):
+    for i, (split, label, kind) in enumerate([
+        ("train", "good", ""), ("test", "defect", "hole"), ("test", "good", ""),
+        ("train", "good", ""), ("test", "defect", "crack"), ("test", "defect", "hole"),
+    ]):
         u8 = rng.integers(0, 256, (6, 6), dtype=np.uint8)
         px = (u8.astype(np.float32) / 255.0)[None, None]
-        label = "defect" if i % 2 else "good"
-        samples.append(ImageSample(px, label, "hole" if i % 2 else "", "test", f"m{i}"))
-    ds = Dataset("widget", samples, seed=0)
-    save_dataset(ds, tmp_path / "cache")
-    back = load_dataset(tmp_path / "cache")
-    assert len(back.samples) == 4
-    for a, b in zip(ds.samples, back.samples):
+        samples.append(ImageSample(px, label, kind, split, f"m{i}"))
+    ds = Dataset("widget", samples)
+    base = save_dataset(ds, tmp_path / "cache")
+    assert base == tmp_path / "cache" / "widget"
+    back = load_image_dir(tmp_path / "cache", "widget")
+    assert back.class_name == "widget" and back.skipped == 0
+    # train/good, test/crack, test/good, test/hole; names keep sample order
+    for i, b in zip([0, 3, 4, 2, 1, 5], back.samples):
+        a = ds.samples[i]
         assert a.pixels.tobytes() == b.pixels.tobytes()  # u8-grid floats round-trip
         assert (a.label, a.defect_kind, a.split) == (b.label, b.defect_kind, b.split)
+    assert len(back.samples) == 6
 
 
 def test_dataset_cache_rgb(tmp_path):
     rng = np.random.default_rng(11)
     u8 = rng.integers(0, 256, (5, 5, 3), dtype=np.uint8)
     px = (u8.astype(np.float32) / 255.0).transpose(2, 0, 1)[None]
-    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")], seed=0)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "m")])
     save_dataset(ds, tmp_path / "cache")
-    back = load_dataset(tmp_path / "cache")
+    back = load_image_dir(tmp_path / "cache", "c")
     assert back.samples[0].pixels.shape == (1, 3, 5, 5)
     assert back.samples[0].pixels.tobytes() == px.tobytes()
 
 
-def test_load_dataset_requires_manifest(tmp_path):
-    with pytest.raises(DataError, match="manifest"):
-        load_dataset(tmp_path)
+def test_save_dataset_refuses_train_defects(tmp_path):
+    px = np.zeros((1, 1, 4, 4), dtype=np.float32)
+    ds = Dataset("c", [ImageSample(px, "good", "", "train", "a"),
+                       ImageSample(px, "defect", "hole", "train", "b")])
+    with pytest.raises(DataError, match="train-split defects"):
+        save_dataset(ds, tmp_path)
+    assert not any(tmp_path.iterdir())  # refused before writing anything
 
 
 # --------------------------------------------------- streamed preprocessing
 
 
 def _assert_same_samples(got: Dataset, want: Dataset) -> None:
-    assert (got.class_name, got.seed, got.skipped) == (want.class_name, want.seed, want.skipped)
+    assert (got.class_name, got.skipped) == (want.class_name, want.skipped)
     assert len(got.samples) == len(want.samples)
     for a, b in zip(got.samples, want.samples):
         assert (a.label, a.defect_kind, a.split, a.source_path) == (
@@ -350,9 +361,9 @@ def test_ingest_preprocesses_each_file_like_preprocess(tmp_path, grayscale, size
               rng.integers(0, 256, (12, 17), dtype=np.uint8))
     (base / "train" / "good" / "broken.pgm").write_bytes(b"P5 nonsense")
     with pytest.warns(UserWarning, match="undecodable"):
-        whole = preprocess(load_image_dir(tmp_path, "widget", seed=5), size, grayscale)
+        whole = preprocess(load_image_dir(tmp_path, "widget"), size, grayscale)
     with pytest.warns(UserWarning, match="undecodable"):
-        streamed = load_image_dir(tmp_path, "widget", seed=5, image_size=size,
+        streamed = load_image_dir(tmp_path, "widget", image_size=size,
                                   grayscale=grayscale)
     _assert_same_samples(streamed, whole)
 

@@ -288,12 +288,12 @@ def test_load_rejects_truncated(tmp_path):
 
 def _ni_cae_step():
     """A seeded NI-CAE 32-px batch-16 model, its batch and an optimizer."""
-    from anomdet.nn import make_optimizer
-    from anomdet.pipelines import NiCaeConfig, build_ni_cae
+    from anomdet.nn import RmsProp
+    from anomdet.pipelines import build_ni_cae
 
-    model = build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=4)
+    model = build_ni_cae((1, 32, 32), seed=4)
     x = np.random.default_rng(4).random((16, 1, 32, 32), dtype=np.float32)
-    return model, x, make_optimizer("rmsprop", 1e-3)
+    return model, x, RmsProp(1e-3)
 
 
 def test_backward_consumes_the_cache_list():

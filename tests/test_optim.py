@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomdet.errors import ConfigError
-from anomdet.nn import RmsProp, Sgd, make_optimizer
+from anomdet.nn import RmsProp, Sgd
 
 
 def test_sgd_single_step():
@@ -76,13 +76,6 @@ def test_non_positive_learning_rate_rejected(lr):
         Sgd(lr=lr)
     with pytest.raises(ConfigError, match="learning rate"):
         RmsProp(lr=lr)
-
-
-def test_make_optimizer_dispatch():
-    assert isinstance(make_optimizer("sgd", 0.1), Sgd)
-    assert isinstance(make_optimizer("rmsprop", 0.1), RmsProp)
-    with pytest.raises(ConfigError, match="unknown optimizer"):
-        make_optimizer("adam", 0.1)
 
 
 def test_sgd_preserves_float32():

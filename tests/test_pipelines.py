@@ -6,10 +6,7 @@ import pytest
 from anomdet.errors import ConfigError, DataError, NumericError
 from anomdet.nn import LayerSpec, ModelGraph
 from anomdet.pipelines import (
-    CnnConfig,
     EarlyStopper,
-    KdCaeConfig,
-    NiCaeConfig,
     ThresholdSet,
     build_cnn,
     build_kd_cae,
@@ -30,7 +27,7 @@ from oracles import two_pass_scores
 
 
 def test_cnn_output_shape_and_zero_image_probability():
-    m = build_cnn(CnnConfig(input_shape=(1, 64, 64)), seed=1)
+    m = build_cnn((1, 64, 64), seed=1)
     y = m.forward(np.zeros((3, 1, 64, 64), dtype=np.float32))
     assert y.shape == (3, 1)
     # zero input, zero biases -> dense output 0 -> sigmoid 0.5
@@ -38,7 +35,7 @@ def test_cnn_output_shape_and_zero_image_probability():
 
 
 def test_cnn_default_input_traces_to_six():
-    m = build_cnn(CnnConfig(), seed=2)
+    m = build_cnn((3, 200, 200), seed=2)
     # spatial walk 200-100-50-25-12-6 with floored odd pooling
     conv_shapes = [m.shapes[i] for i, s in enumerate(m.specs) if s.kind == "maxpool2d"]
     assert [s[1] for s in conv_shapes] == [200, 100, 50, 25, 12]
@@ -47,8 +44,7 @@ def test_cnn_default_input_traces_to_six():
 
 
 def test_cnn_parameter_count_closed_form():
-    cfg = CnnConfig(input_shape=(3, 200, 200))
-    m = build_cnn(cfg, seed=3)
+    m = build_cnn((3, 200, 200), seed=3)
     expect = 0
     in_c = 3
     for _ in range(5):
@@ -62,13 +58,11 @@ def test_cnn_parameter_count_closed_form():
 
 def test_cnn_rejects_tiny_input():
     with pytest.raises(ConfigError, match="too small"):
-        build_cnn(CnnConfig(input_shape=(1, 16, 16)), seed=4)
+        build_cnn((1, 16, 16), seed=4)
 
 
 def test_kd_cae_round_trip_shape_and_latent():
-    cfg = KdCaeConfig(input_shape=(1, 128, 128))
-    assert cfg.latent_dim == 8192
-    m = build_kd_cae(cfg, seed=5)
+    m = build_kd_cae((1, 128, 128), seed=5)
     x = np.random.default_rng(0).uniform(0, 1, (2, 1, 128, 128)).astype(np.float32)
     y = m.forward(x)
     assert y.shape == x.shape
@@ -77,7 +71,7 @@ def test_kd_cae_round_trip_shape_and_latent():
 
 
 def test_kd_cae_encoder_decoder_depth():
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 64, 64)), seed=6)
+    m = build_kd_cae((1, 64, 64), seed=6)
     weighted = [s.kind for s in m.specs if s.kind in ("conv2d", "conv2d_transpose")]
     assert len(weighted) == 12  # six per side
     assert weighted[:6] == ["conv2d"] * 6
@@ -87,7 +81,7 @@ def test_kd_cae_encoder_decoder_depth():
 
 
 def test_kd_cae_output_in_unit_interval():
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=7)
+    m = build_kd_cae((1, 32, 32), seed=7)
     x = np.random.default_rng(1).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32)
     y = m.forward(x)
     assert y.min() >= 0.0 and y.max() <= 1.0
@@ -95,11 +89,11 @@ def test_kd_cae_output_in_unit_interval():
 
 def test_kd_cae_rejects_bad_size():
     with pytest.raises(ConfigError, match="multiple of 16"):
-        build_kd_cae(KdCaeConfig(input_shape=(1, 100, 100)), seed=8)
+        build_kd_cae((1, 100, 100), seed=8)
 
 
 def test_ni_cae_filter_sequence_and_one_by_one_output():
-    m = build_ni_cae(NiCaeConfig(input_shape=(1, 128, 128)), seed=9)
+    m = build_ni_cae((1, 128, 128), seed=9)
     enc_filters = [s.filters for s in m.specs if s.kind == "conv2d" and s.kernel == 3]
     assert enc_filters == [128, 64, 16, 8, 4]
     out_conv = [s for s in m.specs if s.kind == "conv2d" and s.kernel == 1]
@@ -108,7 +102,7 @@ def test_ni_cae_filter_sequence_and_one_by_one_output():
 
 
 def test_ni_cae_round_trip_and_bottleneck():
-    m = build_ni_cae(NiCaeConfig(input_shape=(1, 64, 64)), seed=10)
+    m = build_ni_cae((1, 64, 64), seed=10)
     x = np.random.default_rng(2).uniform(0, 1, (2, 1, 64, 64)).astype(np.float32)
     y = m.forward(x)
     assert y.shape == x.shape
@@ -118,11 +112,11 @@ def test_ni_cae_round_trip_and_bottleneck():
 
 def test_ni_cae_rejects_rgb():
     with pytest.raises(ConfigError, match="grayscale"):
-        build_ni_cae(NiCaeConfig(input_shape=(3, 128, 128)), seed=11)
+        build_ni_cae((3, 128, 128), seed=11)
 
 
 def test_latent_differs_after_input_perturbation():
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=12)
+    m = build_kd_cae((1, 32, 32), seed=12)
     rng = np.random.default_rng(3)
     x = rng.uniform(0.2, 0.8, (1, 1, 32, 32)).astype(np.float32)
     noisy = np.clip(x + rng.normal(0, 0.05, x.shape).astype(np.float32), 0, 1)
@@ -197,7 +191,7 @@ def test_train_overfits_eight_images():
 
     ds = generate_synthetic_set("disk", 8, 1, 0.0, 32, seed=13)
     x = ds.stack("train")
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=14)
+    m = build_kd_cae((1, 32, 32), seed=14)
     untrained = score_batch(m, x)[0].mean()
     hist = train(m, x, x, epochs=300, batch_size=4, loss_kind="mse",
                  learning_rate=2e-3, seed=15)
@@ -252,9 +246,9 @@ def _bits(a):
 @pytest.mark.parametrize("kind", ["kd-cae", "ni-cae", "no-bottleneck"])
 def test_score_batch_bitwise_equals_two_pass(kind, n):
     if kind == "kd-cae":
-        m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=18)
+        m = build_kd_cae((1, 32, 32), seed=18)
     elif kind == "ni-cae":
-        m = build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=18)
+        m = build_ni_cae((1, 32, 32), seed=18)
     else:
         m = tiny_cae(seed=18)
     x = np.random.default_rng(n).uniform(0, 1, (n,) + m.input_shape).astype(np.float32)
@@ -271,7 +265,7 @@ def test_score_batch_bitwise_equals_two_pass(kind, n):
 
 
 def test_score_batch_runs_one_forward_per_batch(monkeypatch):
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=19)
+    m = build_kd_cae((1, 32, 32), seed=19)
     calls = []
 
     def counting(name):
@@ -292,7 +286,7 @@ def test_score_batch_runs_one_forward_per_batch(monkeypatch):
 
 @pytest.mark.parametrize("keep", [0, 3, 16, 20, 37])
 def test_score_batch_hands_over_the_first_reconstructions(keep):
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=20)
+    m = build_kd_cae((1, 32, 32), seed=20)
     x = np.random.default_rng(12).uniform(0, 1, (37, 1, 32, 32)).astype(np.float32)
     recon = np.full((keep, 1, 32, 32), np.nan, dtype=np.float32)
     errors, latents = score_batch(m, x, recon=recon)
@@ -358,7 +352,7 @@ def test_threshold_set_validates_rule_and_presence():
 
 
 def test_calibrate_single_image_thresholds_equal_scores():
-    m = build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=16)
+    m = build_kd_cae((1, 32, 32), seed=16)
     x = np.random.default_rng(8).uniform(0, 1, (1, 1, 32, 32)).astype(np.float32)
     kde = fit_kde(encode_latent(m, x), bandwidth=1.0)
     ts = calibrate_thresholds(m, x, kde=kde, percentile=95.0)
@@ -383,7 +377,7 @@ def test_calibrate_empty_rejected():
 
 
 def test_classify_supervised_boundaries():
-    m = build_cnn(CnnConfig(input_shape=(1, 64, 64)), seed=17)
+    m = build_cnn((1, 64, 64), seed=17)
     x = np.zeros((1, 1, 64, 64), dtype=np.float32)
     labels, probs = classify_supervised(m, x, cutoff=0.5)
     assert probs.shape == (1,)

@@ -26,9 +26,6 @@ import oracles
 from anomdet.gan import GanConfig, build_pair
 from anomdet.nn import functional as F
 from anomdet.pipelines import (
-    CnnConfig,
-    KdCaeConfig,
-    NiCaeConfig,
     build_cnn,
     build_kd_cae,
     build_ni_cae,
@@ -267,10 +264,10 @@ def _gan(which: str):
 
 
 GRAPHS = {
-    "cnn": lambda: build_cnn(CnnConfig(input_shape=(1, 32, 32)), seed=1),
-    "kd-cae": lambda: build_kd_cae(KdCaeConfig(input_shape=(1, 32, 32)), seed=2),
-    "kd-cae-128": lambda: build_kd_cae(KdCaeConfig(), seed=2),  # the CLI's default size
-    "ni-cae": lambda: build_ni_cae(NiCaeConfig(input_shape=(1, 32, 32)), seed=3),
+    "cnn": lambda: build_cnn((1, 32, 32), seed=1),
+    "kd-cae": lambda: build_kd_cae((1, 32, 32), seed=2),
+    "kd-cae-128": lambda: build_kd_cae((1, 128, 128), seed=2),  # the CLI's default size
+    "ni-cae": lambda: build_ni_cae((1, 32, 32), seed=3),
     "dcgan-generator": lambda: _gan("g"),
     "dcgan-discriminator": lambda: _gan("d"),
 }
