@@ -293,8 +293,8 @@ def test_split_too_few_samples():
 
 
 def test_dataset_cache_round_trip(tmp_path):
-    """save_dataset writes the directory layout that load_image_dir reads:
-    train/good, then test/good and test/<defect_kind> in folder order."""
+    """save_dataset writes the directory layout that load_image_dir reads
+    back: train/good first, then the test/ folders in name order."""
     rng = np.random.default_rng(10)
     samples = []
     for i, (split, label, kind) in enumerate([
