@@ -21,7 +21,7 @@ class RunConfig:
     usable default; everything else can be left alone."""
 
     model: str = ""
-    class_name: str = "synthetic-disk"
+    class_name: str = "synthetic-disk"  # parse_config: synthetic-<shape> on synthetic data
     data_root: str = "synthetic:disk"  # synthetic:<shape>, a path, or "" (env root)
     image_size: int = 64
     grayscale: bool = True
@@ -186,4 +186,7 @@ def parse_config(path=None, overrides: Optional[dict] = None) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = raw if not isinstance(raw, str) else _parse_value(key, raw)
+    root = values.get("data_root", RunConfig.data_root)
+    if "class_name" not in values and root.startswith("synthetic:"):
+        values["class_name"] = "synthetic-" + root.split(":", 1)[1]  # the set's own name
     return RunConfig(**values).validate()

@@ -115,10 +115,11 @@ def train_gan(pair: GanPair, images: np.ndarray, steps: int) -> GanPair:
             d_real = disc.forward(real, mode="train", caches=caches_r)
             d_fake = disc.forward(fake, mode="train", caches=caches_f)
             j_d, g_r, g_f = discriminator_loss_grads(d_real, d_fake)
-            _, grads_r = disc.backward(g_r.reshape(d_real.shape), caches_r)
-            _, grads_f = disc.backward(g_f.reshape(d_fake.shape), caches_f)
-            grads = {k: grads_r[k] + grads_f[k] for k in grads_r}
-            opt_d.step(disc.params, grads)
+            _, grads_r = disc.backward(g_r.reshape(d_real.shape), caches_r, input_grad=False)
+            _, grads_f = disc.backward(g_f.reshape(d_fake.shape), caches_f, input_grad=False)
+            for k in grads_r:
+                grads_r[k] += grads_f[k]
+            opt_d.step(disc.params, grads_r)
             mean_real = float(d_real.mean())
 
         z = z_rng.standard_normal((m, cfg.z_dim)).astype(np.float32)
@@ -127,8 +128,8 @@ def train_gan(pair: GanPair, images: np.ndarray, steps: int) -> GanPair:
         fake = gen.forward(z, mode="train", caches=caches_g)
         d_out = disc.forward(fake, mode="train", caches=caches_d)
         j_g, g_fake = generator_loss_grad(d_out)
-        d_in_grad, _ = disc.backward(g_fake.reshape(d_out.shape), caches_d)
-        _, grads_g = gen.backward(d_in_grad, caches_g)
+        d_in_grad, _ = disc.backward(g_fake.reshape(d_out.shape), caches_d, params=False)
+        _, grads_g = gen.backward(d_in_grad, caches_g, input_grad=False)
         opt_g.step(gen.params, grads_g)
 
         if not (np.isfinite(j_d) and np.isfinite(j_g)):

@@ -2,7 +2,14 @@
 
 All image tensors are rank-4 (N, C, H, W), row-major. Functions preserve
 the dtype of their inputs: training runs float32, verification (finite
-differences, adjointness) can pass float64 and gets float64 math.
+differences, adjointness) can pass float64 and gets float64 math. Every
+backward pass, leaky_relu's included, returns gradients in the dtype of
+its inputs.
+
+The backward passes of the weighted kinds take two flags: `params=False`
+skips the parameter gradients and `input_grad=False` the input gradient.
+A skipped gradient comes back as None and is never computed (its GEMM or
+scatter does not run); the gradients still computed keep their bits.
 
 Convolutions go through im2col (one strided copy per kernel tap) and one
 matmul. Its adjoint, for conv2d's input gradient and conv2d_transpose,
@@ -121,13 +128,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, padding
     return y, (cols, x.shape, w.shape, stride, padding)
 
 
-def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
+def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache, params: bool = True,
+                    input_grad: bool = True):
     """Gradients of conv2d; returns (dx, dw, db)."""
     cols, x_shape, w_shape, stride, padding = cache
     dy_mat = dy.reshape(x_shape[0], w_shape[0], -1)
-    db = dy_mat.sum(axis=(0, 2))
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    dx = _scatter_rows(w, dy_mat, x_shape, stride, padding)
+    dx = dw = db = None
+    if params:
+        db = dy_mat.sum(axis=(0, 2))
+        dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    if input_grad:
+        dx = _scatter_rows(w, dy_mat, x_shape, stride, padding)
     return dx, dw, db
 
 
@@ -157,17 +168,21 @@ def conv2d_transpose(
     return y, (x, w.shape, y_shape, stride, padding)
 
 
-def conv2d_transpose_backward(dy: np.ndarray, w: np.ndarray, cache):
+def conv2d_transpose_backward(dy: np.ndarray, w: np.ndarray, cache, params: bool = True,
+                              input_grad: bool = True):
     """Gradients of conv2d_transpose; returns (dx, dw, db)."""
     x, w_shape, y_shape, stride, padding = cache
     in_c, out_c, kh, kw = w_shape
     n, _, h, ww_ = x.shape
-    db = dy.sum(axis=(0, 2, 3))
+    dx = dw = db = None
     dcols, _, _ = _im2col(dy, kh, kw, stride, padding)  # (N, out_c*kh*kw, h*w)
-    x_mat = x.reshape(n, in_c, h * ww_)
-    dw = np.matmul(x_mat, dcols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    wmat = w.reshape(in_c, out_c * kh * kw)
-    dx = np.matmul(wmat, dcols).reshape(x.shape)
+    if params:
+        db = dy.sum(axis=(0, 2, 3))
+        x_mat = x.reshape(n, in_c, h * ww_)
+        dw = np.matmul(x_mat, dcols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    if input_grad:
+        wmat = w.reshape(in_c, out_c * kh * kw)
+        dx = np.matmul(wmat, dcols).reshape(x.shape)
     return dx, dw, db
 
 
@@ -261,11 +276,16 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y, x
 
 
-def dense_backward(dy: np.ndarray, w: np.ndarray, cache):
+def dense_backward(dy: np.ndarray, w: np.ndarray, cache, params: bool = True,
+                   input_grad: bool = True):
+    """Gradients of dense; returns (dx, dw, db)."""
     x = cache
-    db = dy.sum(axis=0)
-    dw = dy.T @ x
-    dx = dy @ w
+    dx = dw = db = None
+    if params:
+        db = dy.sum(axis=0)
+        dw = dy.T @ x
+    if input_grad:
+        dx = dy @ w
     return dx, dw, db
 
 
@@ -293,7 +313,8 @@ def activate_backward(dy: np.ndarray, cache):
     if name == "relu":
         return dy * (y > 0)
     if name == "leaky_relu":
-        return dy * np.where(y > 0, 1.0, LEAKY_SLOPE)
+        one, slope = np.array((1.0, LEAKY_SLOPE), dtype=y.dtype)
+        return dy * np.where(y > 0, one, slope)
     if name == "sigmoid":
         return dy * y * (1.0 - y)
     return dy * (1.0 - y * y)  # tanh
@@ -340,13 +361,18 @@ def batchnorm(
     return y, cache
 
 
-def batchnorm_backward(dy: np.ndarray, cache):
-    """Gradients of batchnorm; dx flows through the batch statistics in
-    train mode and treats them as constants in eval mode."""
+def batchnorm_backward(dy: np.ndarray, cache, params: bool = True, input_grad: bool = True):
+    """Gradients of batchnorm, (dx, dgamma, dbeta); dx flows through the
+    batch statistics in train mode and treats them as constants in eval
+    mode."""
     xhat, inv_std, gamma, mode = cache
     c = xhat.shape[1]
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
+    dgamma = dbeta = None
+    if params:
+        dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+        dbeta = dy.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dgamma, dbeta
     g = (gamma * inv_std).reshape(1, c, 1, 1)
     if mode == "eval":
         return dy * g, dgamma, dbeta

@@ -48,7 +48,10 @@ class _Layer:
 
     `forward(spec, x, arrays, mode)` returns (y, cache), `arrays` being the
     layer's params then buffers in declared order, and `backward(spec, dy,
-    params, cache)` returns (dx, *param grads). Both look their kernel
+    params, cache, **want)` returns (dx, *param grads). `want` holds the
+    `params` and `input_grad` flags of `ModelGraph.backward`: a kind with
+    params passes them on to its kernel, which returns None for what it
+    skips, and the other kinds ignore them. Both look their kernel
     up on `F` when called, so a patched or wrapped `functional` name reaches
     every graph. `shape(spec, input shape)` gives the output shape and
     `check(spec)` raises ShapeError on fields the kind cannot use. A kind
@@ -125,7 +128,7 @@ def _reshape_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s.target_shape)
 
 
-def _unshape(s, dy, a, cache):  # flatten / reshape backward: restore the input shape
+def _unshape(s, dy, a, cache, **_):  # flatten / reshape backward: restore the input shape
     return (dy.reshape(cache),)
 
 
@@ -133,31 +136,31 @@ def _unshape(s, dy, a, cache):  # flatten / reshape backward: restore the input 
 LAYERS: dict[str, _Layer] = {
     "conv2d": _Layer(
         lambda s, x, a, mode: F.conv2d(x, a[0], a[1], s.stride, s.padding),
-        lambda s, dy, a, cache: F.conv2d_backward(dy, a[0], cache),
+        lambda s, dy, a, cache, **want: F.conv2d_backward(dy, a[0], cache, **want),
         shape=lambda s, shape: _conv_shape(s, shape, F.conv_out_extent),
         check=_check_conv, weight=_conv_weight, params=("w", "b")),
     "conv2d_transpose": _Layer(
         lambda s, x, a, mode: F.conv2d_transpose(x, a[0], a[1], s.stride, s.padding),
-        lambda s, dy, a, cache: F.conv2d_transpose_backward(dy, a[0], cache),
+        lambda s, dy, a, cache, **want: F.conv2d_transpose_backward(dy, a[0], cache, **want),
         shape=lambda s, shape: _conv_shape(s, shape, F.conv_transpose_out_extent),
         check=_check_conv, weight=lambda s, shape: _conv_weight(s, shape, transposed=True),
         params=("w", "b")),
     "maxpool2d": _Layer(
         lambda s, x, a, mode: F.maxpool2d(x, allow_odd=s.allow_odd),
-        lambda s, dy, a, cache: (F.maxpool2d_backward(dy, cache),),
+        lambda s, dy, a, cache, **_: (F.maxpool2d_backward(dy, cache),),
         shape=_maxpool2d_shape),
     "dense": _Layer(
         lambda s, x, a, mode: F.dense(x, a[0], a[1]),
-        lambda s, dy, a, cache: F.dense_backward(dy, a[0], cache),
+        lambda s, dy, a, cache, **want: F.dense_backward(dy, a[0], cache, **want),
         shape=_dense_shape, check=_check_dense, params=("w", "b"),
         weight=lambda s, shape: ((s.units, shape[0]), shape[0], s.units)),
     "activation": _Layer(
         lambda s, x, a, mode: F.activate(x, s.activation),
-        lambda s, dy, a, cache: (F.activate_backward(dy, cache),),
+        lambda s, dy, a, cache, **_: (F.activate_backward(dy, cache),),
         check=_check_activation, activates=True),
     "batchnorm": _Layer(
         lambda s, x, a, mode: F.batchnorm(x, *a, mode=mode),
-        lambda s, dy, a, cache: F.batchnorm_backward(dy, cache),
+        lambda s, dy, a, cache, **want: F.batchnorm_backward(dy, cache, **want),
         shape=_image, params=("gamma", "beta"), buffers=("mean", "var"),
         fill=(1.0, 0.0, 0.0, 1.0)),
     "flatten": _Layer(
@@ -279,20 +282,36 @@ class ModelGraph:
                 latent.append(out)
         return out
 
-    def backward(self, dout: np.ndarray, caches: list):
+    def backward(self, dout: np.ndarray, caches: list, *, params: bool = True,
+                 input_grad: bool = True):
         """Backpropagate. Returns (input gradient, grads dict keyed like
         params). Pops each layer's cache off `caches`, freeing it before the
-        layer below runs, so the list ends empty: run forward anew to reuse."""
+        layer below runs, so the list ends empty: run forward anew to reuse.
+
+        `params=False` computes no parameter gradient (the dict comes back
+        empty) and `input_grad=False` no input gradient (None comes back);
+        the layers below the lowest one with params then do not run at all.
+        A skipped gradient is never computed, and every gradient that is
+        has the bits of a full backward."""
         if len(caches) != len(self.specs):
             raise ShapeError(f"cache list has {len(caches)} entries for {len(self.specs)} "
                              "layers; run forward with caches first")
+        stop = 0  # the lowest layer that runs
+        if not input_grad:
+            owners = [i for i, layer in enumerate(self._layers) if layer[2]]
+            stop = owners[0] if params and owners else len(self._layers)
         grads: dict[str, np.ndarray] = {}
         d = dout
-        params = self.params
-        for spec, kind, param_keys, _ in reversed(self._layers):
-            d, *layer_grads = kind.backward(spec, d, [params[k] for k in param_keys], caches.pop())
-            grads.update(zip(param_keys, layer_grads))
-        return d, grads
+        store = self.params
+        for i in range(len(self._layers) - 1, stop - 1, -1):
+            spec, kind, param_keys, _ = self._layers[i]
+            d, *layer_grads = kind.backward(spec, d, [store[k] for k in param_keys],
+                                            caches.pop(), params=params,
+                                            input_grad=input_grad or i > stop)
+            if params:
+                grads.update(zip(param_keys, layer_grads))
+        caches.clear()
+        return (d if input_grad else None), grads
 
     # -- snapshots ----------------------------------------------------
 

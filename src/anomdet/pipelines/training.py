@@ -116,7 +116,7 @@ def train(
                     f"(batch starting at sample {i})"
                 )
             running += loss * xb.shape[0]
-            _, grads = model.backward(dy, caches)
+            _, grads = model.backward(dy, caches, input_grad=False)
             opt.step(model.params, grads)
         train_loss = running / n
         val_loss = None

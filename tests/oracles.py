@@ -156,17 +156,20 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
     return out
 
 
-def conv2d_backward_cols(dy, w, cache):
-    """Gradients of conv2d; returns (dx, dw, db)."""
+def conv2d_backward_cols(dy, w, cache, params=True, input_grad=True):
+    """Gradients of conv2d; returns (dx, dw, db), None for a skipped one."""
     cols, x_shape, w_shape, stride, padding = cache
     out_c, in_c, kh, kw = w_shape
     n = x_shape[0]
     dy_mat = dy.reshape(n, out_c, -1)
-    db = dy_mat.sum(axis=(0, 2))
-    wmat = w.reshape(out_c, -1)
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    dcols = np.matmul(wmat.T, dy_mat)
-    dx = col2im(dcols, x_shape, kh, kw, stride, padding)
+    dx = dw = db = None
+    if params:
+        db = dy_mat.sum(axis=(0, 2))
+        dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    if input_grad:
+        wmat = w.reshape(out_c, -1)
+        dcols = np.matmul(wmat.T, dy_mat)
+        dx = col2im(dcols, x_shape, kh, kw, stride, padding)
     return dx, dw, db
 
 
@@ -206,7 +209,7 @@ def activate_input_cached_backward(dy, cache):
     if name == "relu":
         return dy * (x > 0)
     if name == "leaky_relu":
-        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE)
+        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE).astype(x.dtype)
     if name == "sigmoid":
         return dy * y * (1.0 - y)
     return dy * (1.0 - y * y)  # tanh

@@ -113,6 +113,19 @@ def test_default_out_dir_is_self_describing():
     assert str(explicit.resolved_out_dir()) == "here"
 
 
+def test_synthetic_run_takes_its_shape_class_name(tmp_path):
+    rect = parse_config(overrides={"model": "kd-cae", "data_root": "synthetic:rect"})
+    assert rect.class_name == "synthetic-rect"
+    assert str(rect.resolved_out_dir()) == "runs/kd-cae-synthetic-rect-seed0"
+    from_file = parse_config(write(tmp_path, "model = cnn\ndata_root = synthetic:rect\n"))
+    assert from_file.class_name == "synthetic-rect"
+    named = parse_config(overrides={"model": "kd-cae", "data_root": "synthetic:rect",
+                                    "class_name": "mine"})
+    assert named.class_name == "mine"
+    directory = parse_config(overrides={"model": "kd-cae", "data_root": "some/dir"})
+    assert directory.class_name == "synthetic-disk"  # the dataclass default
+
+
 BUNDLED = {
     "toothbrush": (0.005, 5630.0),
     "bottle": (0.004, 5600.0),
