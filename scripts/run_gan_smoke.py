@@ -51,7 +51,8 @@ def main() -> int:
     print(f"tail of training: D(real)={d_real:.3f} D(fake)={d_fake:.3f} "
           f"pooled={0.5 * (d_real + d_fake):.3f}")
 
-    imgs = generate_samples(pair, ns.samples, seed=ns.seed, out_dir=ns.out)
+    imgs = generate_samples(pair.generator, ns.samples, ns.seed, ns.batch_size,
+                            out_dir=ns.out)
     print(f"sample pixel std {float(imgs.std()):.4f}")
     pair.history.save_csv(f"{ns.out}/history.csv")
     print(f"wrote {ns.samples} samples and history under {ns.out}/")

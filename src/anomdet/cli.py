@@ -32,14 +32,7 @@ from .data import (
 )
 from .data.codec import write_pgm
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .gan import (
-    GanConfig,
-    GanPair,
-    build_pair,
-    generate_samples,
-    to_gan_range,
-    train_gan,
-)
+from .gan import GanConfig, build_pair, generate_samples, to_gan_range, train_gan
 from .metrics import EvalReport, save_histogram
 from .nn import load_model, save_model
 from .pipelines import (
@@ -467,17 +460,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         raise ConfigError(f"run holds a {cfg.model!r} model; generate needs dcgan")
     gen = load_model(run_dir / "generator.anom")
     _expect_kind(gen, "dcgan-generator")
-    gcfg = _gan_config(cfg)
-    disc_file = run_dir / "discriminator.anom"
-    if disc_file.is_file():
-        disc = load_model(disc_file)
-    else:  # sampling never touches it; a fresh one keeps the pair total
-        from .gan import build_discriminator
-
-        disc = build_discriminator(gcfg)
-    pair = GanPair(gen, disc, gcfg)
     out = Path(ns.out) if ns.out else run_dir / "generated"
-    imgs = generate_samples(pair, ns.n, seed=ns.seed, out_dir=out)
+    imgs = generate_samples(gen, ns.n, ns.seed, cfg.batch_size, out_dir=out)
     print(f"wrote {imgs.shape[0]} samples under {out}")
     return 0
 

@@ -63,6 +63,12 @@ class RunConfig:
             raise ConfigError("epochs and steps must be non-negative")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.learning_rate < 0:
+            raise ConfigError(f"learning_rate must be >= 0 (0 = per-model default), "
+                              f"got {self.learning_rate}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0 (0 = no early stopping), "
+                              f"got {self.patience}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.combine_rule not in COMBINE_RULES:

@@ -8,7 +8,6 @@ from .dataset import (
     NoisePlan,
     inject_gaussian_noise,
     load_image_dir,
-    preprocess,
     save_dataset,
     split_validation,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "NoisePlan",
     "inject_gaussian_noise",
     "load_image_dir",
-    "preprocess",
     "save_dataset",
     "split_validation",
     "Rendered",

@@ -97,9 +97,8 @@ def load_image_dir(
     increment `skipped`; the run continues. With `split` ("train" or
     "test") only that split's folders are read; the samples are the ones
     a full load holds for that split, in the same order. With `image_size`,
-    each image is preprocessed as it is read, so only one full-resolution
-    image is held at a time; the samples are those of
-    `preprocess(load_image_dir(...), image_size, grayscale)`.
+    each image is preprocessed as it is read (`_preprocess_pixels`), so only
+    one full-resolution image is held at a time.
     """
     if split not in (None, "train", "test"):
         raise DataError(f"split must be 'train' or 'test', got {split!r}")
@@ -188,7 +187,13 @@ def _check_target(target_size: int) -> None:
 
 
 def _preprocess_pixels(img: np.ndarray, target_size: int, grayscale: bool, source) -> np.ndarray:
-    """One sample's (1, C, H, W) pixels through `preprocess`."""
+    """One sample's (1, C, H, W) pixels: luminance conversion, center-crop
+    to square, downsample to target.
+
+    Downsampling uses exact block averaging when the source is an integer
+    multiple of the target, bilinear otherwise. Upscaling is refused.
+    Idempotent: output at target size passes through unchanged.
+    """
     if grayscale and img.shape[1] == 3:
         w = np.asarray(LUMA_WEIGHTS, dtype=np.float32).reshape(1, 3, 1, 1)
         img = np.sum(img * w, axis=1, keepdims=True, dtype=np.float32)
@@ -206,21 +211,6 @@ def _preprocess_pixels(img: np.ndarray, target_size: int, grayscale: bool, sourc
     return np.clip(img, 0.0, 1.0)
 
 
-def preprocess(dataset: Dataset, target_size: int, grayscale: bool) -> Dataset:
-    """Luminance conversion, center-crop to square, downsample to target.
-
-    Downsampling uses exact block averaging when the source is an integer
-    multiple of the target, bilinear otherwise. Upscaling is refused.
-    Idempotent: output at target size passes through unchanged.
-    """
-    _check_target(target_size)
-    out_samples = [
-        replace(s, pixels=_preprocess_pixels(s.pixels, target_size, grayscale, s.source_path))
-        for s in dataset.samples
-    ]
-    return Dataset(dataset.class_name, out_samples, dataset.skipped)
-
-
 # --------------------------------------------------------- noise injection
 
 
@@ -236,14 +226,13 @@ def inject_gaussian_noise(
     split with i.i.d. Gaussian noise, clamped back to [0,1]. K counts the
     targeted samples; untouched samples share their original arrays, so
     they stay bitwise identical."""
+    if target_split not in ("train", "test"):
+        raise DataError(f"noise target split must be 'train' or 'test', got {target_split!r}")
     if not 0.0 <= fraction <= 1.0:
         raise DataError(f"noise fraction must be in [0,1], got {fraction}")
     if variance < 0:
         raise DataError(f"noise variance must be non-negative, got {variance}")
-    if target_split == "all":
-        targeted = list(range(len(dataset.samples)))
-    else:
-        targeted = [i for i, s in enumerate(dataset.samples) if s.split == target_split]
+    targeted = [i for i, s in enumerate(dataset.samples) if s.split == target_split]
     count = int(fraction * len(targeted))
     rng = stream(seed, "noise")
     chosen = sorted(rng.permutation(len(targeted))[:count].tolist())

@@ -1,37 +1,25 @@
-"""DCGAN pair, alternating training, toy-density verification, sampling."""
+"""DCGAN pair, alternating training, sampling."""
 
-from .losses import GAN_EPS, gan_losses, minimax_generator_loss
-from .models import GanConfig, GanPair, build_discriminator, build_generator, build_pair
-from .sampling import contact_sheet, generate_samples
-from .toy import (
-    GaussianMixture1D,
-    ToyDensityPair,
-    fit_toy_discriminator,
-    optimal_discriminator_oracle,
-)
-from .training import (
+from .models import (
+    GanConfig,
     GanHistory,
+    GanPair,
     GanStepRecord,
-    from_gan_range,
-    to_gan_range,
-    train_gan,
+    build_discriminator,
+    build_generator,
+    build_pair,
 )
+from .sampling import contact_sheet, generate_samples
+from .training import from_gan_range, to_gan_range, train_gan
 
 __all__ = [
-    "GAN_EPS",
-    "gan_losses",
-    "minimax_generator_loss",
     "GanConfig",
+    "GanHistory",
     "GanPair",
+    "GanStepRecord",
     "build_generator",
     "build_discriminator",
     "build_pair",
-    "GaussianMixture1D",
-    "ToyDensityPair",
-    "fit_toy_discriminator",
-    "optimal_discriminator_oracle",
-    "GanHistory",
-    "GanStepRecord",
     "train_gan",
     "to_gan_range",
     "from_gan_range",

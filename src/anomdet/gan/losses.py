@@ -4,7 +4,6 @@ With r = D(x) on real images and f = D(G(z)) on fakes,
 
     J_D          = -1/2 mean log r - 1/2 mean log(1 - f)
     J_G (nonsat) = -1/2 mean log f
-    J_G (minimax)= -J_D, computed literally as the negation
 
 Probabilities are clamped to [eps, 1-eps] before the logs; gradients are
 zero where the clamp is active, matching the derivative of the clamped
@@ -17,7 +16,7 @@ import numpy as np
 
 GAN_EPS = 1e-7
 
-__all__ = ["GAN_EPS", "gan_losses", "minimax_generator_loss"]
+__all__ = ["GAN_EPS", "discriminator_loss_grads", "generator_loss_grad"]
 
 
 def _clamped_log_stats(p: np.ndarray):
@@ -29,20 +28,6 @@ def _clamped_log_stats(p: np.ndarray):
     clamped = np.clip(p, GAN_EPS, 1.0 - GAN_EPS)
     inside = (p > GAN_EPS) & (p < 1.0 - GAN_EPS)
     return clamped, inside, dtype
-
-
-def gan_losses(d_real, d_fake):
-    """Return (J_D, J_G_nonsaturating) for the given probability batches."""
-    r, _, _ = _clamped_log_stats(d_real)
-    f, _, _ = _clamped_log_stats(d_fake)
-    j_d = -0.5 * float(np.mean(np.log(r))) - 0.5 * float(np.mean(np.log(1.0 - f)))
-    j_g = -0.5 * float(np.mean(np.log(f)))
-    return j_d, j_g
-
-
-def minimax_generator_loss(d_real, d_fake) -> float:
-    """The saturating objective, kept only as a reference diagnostic."""
-    return -gan_losses(d_real, d_fake)[0]
 
 
 def discriminator_loss_grads(d_real, d_fake):

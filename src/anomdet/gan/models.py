@@ -6,15 +6,21 @@ convolutions (batchnorm + relu between, tanh at the output); the
 discriminator halves with stride-2 convolutions (leaky relu throughout,
 batchnorm on all but the first block) down to 4x4, then a single dense
 logit through a sigmoid. No pooling anywhere, and no hidden dense layers
-in the generator beyond the z projection.
+in the generator beyond the z projection. `GanPair` holds both players and
+the per-step `GanHistory` that training appends to.
 """
 
+import csv
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..errors import ConfigError
 from ..nn import LayerSpec, ModelGraph
 
-__all__ = ["GanConfig", "GanPair", "build_generator", "build_discriminator"]
+__all__ = [
+    "GanConfig", "GanStepRecord", "GanHistory", "GanPair",
+    "build_generator", "build_discriminator", "build_pair",
+]
 
 
 def _n_doublings(size: int) -> int:
@@ -118,6 +124,31 @@ def build_discriminator(config: GanConfig) -> ModelGraph:
     )
 
 
+@dataclass(frozen=True)
+class GanStepRecord:
+    step: int
+    j_d: float
+    j_g: float
+    mean_d_real: float
+    mean_d_fake: float
+
+
+@dataclass
+class GanHistory:
+    records: list = field(default_factory=list)
+    aborted_at: Optional[int] = None
+
+    def save_csv(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["step", "j_d", "j_g", "mean_d_real", "mean_d_fake"])
+            for r in self.records:
+                w.writerow(
+                    [r.step, f"{r.j_d:.6f}", f"{r.j_g:.6f}",
+                     f"{r.mean_d_real:.6f}", f"{r.mean_d_fake:.6f}"]
+                )
+
+
 @dataclass
 class GanPair:
     """Both players plus the per-step training history."""
@@ -125,13 +156,7 @@ class GanPair:
     generator: ModelGraph
     discriminator: ModelGraph
     config: GanConfig
-    history: "GanHistory" = field(default_factory=lambda: _empty_history())
-
-
-def _empty_history():
-    from .training import GanHistory
-
-    return GanHistory(records=[])
+    history: GanHistory = field(default_factory=GanHistory)
 
 
 def build_pair(config: GanConfig) -> GanPair:

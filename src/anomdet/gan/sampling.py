@@ -6,35 +6,41 @@ from pathlib import Path
 import numpy as np
 
 from ..data.codec import write_pgm, write_ppm
+from ..errors import ConfigError
+from ..nn import ModelGraph
 from ..rng import stream
-from .models import GanPair
 from .training import from_gan_range
 
 __all__ = ["generate_samples", "contact_sheet"]
 
 
-def generate_samples(pair: GanPair, n: int, seed: int, out_dir=None) -> np.ndarray:
+def generate_samples(
+    generator: ModelGraph, n: int, seed: int, batch_size: int, out_dir=None
+) -> np.ndarray:
     """Sample n images from the frozen generator, mapped to [0,1].
 
-    With `out_dir` set, each image is written as sample_XXX.pgm/.ppm under
-    `out_dir`/samples plus one contact sheet at `out_dir`/sheet. n=0 yields
-    an empty batch and writes nothing. The latents are drawn in one go and
-    forwarded `cfg.batch_size` at a time, so memory does not grow with n.
+    The image shape is the generator's output shape and the latent width
+    its input shape. With `out_dir` set, each image is written as
+    sample_XXX.pgm/.ppm under `out_dir`/samples plus one contact sheet at
+    `out_dir`/sheet. n=0 yields an empty batch and writes nothing; a
+    negative n is a ConfigError. The latents are drawn in one go and
+    forwarded `batch_size` at a time, so memory does not grow with n.
     """
-    cfg = pair.config
-    shape = (n, cfg.channels, cfg.image_size, cfg.image_size)
+    if n < 0:
+        raise ConfigError(f"sample count must be >= 0, got {n}")
+    shape = (n, *generator.shapes[-1])
     if n == 0:
         return np.zeros(shape, dtype=np.float32)
-    z = stream(seed, "gan-sample").standard_normal((n, cfg.z_dim)).astype(np.float32)
+    z = stream(seed, "gan-sample").standard_normal((n, *generator.input_shape)).astype(np.float32)
     imgs = np.empty(shape, dtype=np.float32)
-    for i in range(0, n, cfg.batch_size):
-        imgs[i : i + cfg.batch_size] = from_gan_range(
-            pair.generator.forward(z[i : i + cfg.batch_size], mode="eval"))
+    for i in range(0, n, batch_size):
+        imgs[i : i + batch_size] = from_gan_range(
+            generator.forward(z[i : i + batch_size], mode="eval"))
     if out_dir is not None:
         out = Path(out_dir)
         sub = out / "samples"
         sub.mkdir(parents=True, exist_ok=True)
-        color = cfg.channels == 3
+        color = shape[1] == 3
         suffix = ".ppm" if color else ".pgm"
         for i in range(n):
             arr = _quantize(imgs[i].transpose(1, 2, 0) if color else imgs[i, 0])

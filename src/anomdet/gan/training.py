@@ -1,9 +1,5 @@
 """Alternating GAN training: k discriminator updates, then one generator
-update on the non-saturating objective. The minimax form is never used for
-updates."""
-
-from dataclasses import dataclass, field
-from typing import Optional
+update on the non-saturating objective."""
 
 import numpy as np
 
@@ -11,9 +7,9 @@ from ..errors import DataError, ShapeError
 from ..nn.optim import RmsProp
 from ..rng import stream
 from .losses import discriminator_loss_grads, generator_loss_grad
-from .models import GanPair
+from .models import GanPair, GanStepRecord
 
-__all__ = ["GanStepRecord", "GanHistory", "train_gan", "to_gan_range", "from_gan_range"]
+__all__ = ["train_gan", "to_gan_range", "from_gan_range"]
 
 SNAPSHOT_EVERY = 100  # steps between the snapshots a non-finite loss rolls back to
 
@@ -26,33 +22,6 @@ def to_gan_range(x01: np.ndarray) -> np.ndarray:
 def from_gan_range(x11: np.ndarray) -> np.ndarray:
     """Map generator output back to [0,1], clipping float fuzz."""
     return np.clip((np.asarray(x11, dtype=np.float32) + 1.0) / 2.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class GanStepRecord:
-    step: int
-    j_d: float
-    j_g: float
-    mean_d_real: float
-    mean_d_fake: float
-
-
-@dataclass
-class GanHistory:
-    records: list = field(default_factory=list)
-    aborted_at: Optional[int] = None
-
-    def save_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "j_d", "j_g", "mean_d_real", "mean_d_fake"])
-            for r in self.records:
-                w.writerow(
-                    [r.step, f"{r.j_d:.6f}", f"{r.j_g:.6f}",
-                     f"{r.mean_d_real:.6f}", f"{r.mean_d_fake:.6f}"]
-                )
 
 
 class _BatchCycler:

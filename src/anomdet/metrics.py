@@ -132,11 +132,6 @@ class EvalReport:
             rows=[dict(r) for r in rows],
         )
 
-    def recompute(self) -> tuple[float, float]:
-        """(f1, roc_auc) from the stored raw rows, the way from_rows computes them."""
-        again = self.from_rows(self.rows, self.dataset_name, self.seed, self.threshold_info)
-        return again.f1, again.roc_auc
-
     # -- persistence -----------------------------------------------------
 
     def save(self, directory: str | Path) -> None:

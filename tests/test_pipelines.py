@@ -7,6 +7,7 @@ from anomdet.errors import ConfigError, DataError, NumericError
 from anomdet.nn import LayerSpec, ModelGraph
 from anomdet.pipelines import (
     EarlyStopper,
+    KdeModel,
     ThresholdSet,
     build_cnn,
     build_kd_cae,
@@ -15,7 +16,6 @@ from anomdet.pipelines import (
     classify_supervised,
     decide_anomaly,
     encode_latent,
-    fit_kde,
     kde_log_densities,
     score_batch,
     train,
@@ -354,7 +354,7 @@ def test_threshold_set_validates_rule_and_presence():
 def test_calibrate_single_image_thresholds_equal_scores():
     m = build_kd_cae((1, 32, 32), seed=16)
     x = np.random.default_rng(8).uniform(0, 1, (1, 1, 32, 32)).astype(np.float32)
-    kde = fit_kde(encode_latent(m, x), bandwidth=1.0)
+    kde = KdeModel(encode_latent(m, x).astype(np.float64), 1.0)
     ts = calibrate_thresholds(m, x, kde=kde, percentile=95.0)
     np.testing.assert_allclose(ts.recon_threshold, score_batch(m, x)[0][0], rtol=1e-12)
     np.testing.assert_allclose(
