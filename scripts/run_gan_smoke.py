@@ -14,7 +14,14 @@ import sys
 import numpy as np
 
 from anomdet.data import generate_synthetic_set
-from anomdet.gan import GanConfig, build_pair, generate_samples, to_gan_range, train_gan
+from anomdet.gan import (
+    GanPair,
+    build_discriminator,
+    build_generator,
+    generate_samples,
+    to_gan_range,
+    train_gan,
+)
 
 
 def main() -> int:
@@ -34,13 +41,11 @@ def main() -> int:
     ds = generate_synthetic_set("disk", ns.n_train, 2, 0.5, 32, seed=ns.data_seed)
     x = to_gan_range(np.stack([s.pixels[0] for s in ds.split_samples("train")
                                if s.label == "good"]))
-    config = GanConfig(
-        image_size=32, channels=1, base_channels=ns.base_channels,
-        batch_size=ns.batch_size, lr_generator=ns.lr_generator,
-        lr_discriminator=ns.lr_discriminator, seed=ns.seed,
-    )
-    pair = build_pair(config)
-    train_gan(pair, x, ns.steps)
+    shape = (1, 32, 32)
+    pair = GanPair(build_generator(shape, 100, ns.base_channels, ns.seed),
+                   build_discriminator(shape, ns.base_channels, ns.seed))
+    train_gan(pair, x, ns.steps, batch_size=ns.batch_size, lr_generator=ns.lr_generator,
+              lr_discriminator=ns.lr_discriminator, seed=ns.seed)
     if pair.history.aborted_at is not None:
         print(f"training aborted at step {pair.history.aborted_at}", file=sys.stderr)
         return 3

@@ -32,7 +32,14 @@ from .data import (
 )
 from .data.codec import write_pgm
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .gan import GanConfig, build_pair, generate_samples, to_gan_range, train_gan
+from .gan import (
+    GanPair,
+    build_discriminator,
+    build_generator,
+    generate_samples,
+    to_gan_range,
+    train_gan,
+)
 from .metrics import EvalReport, save_histogram
 from .nn import load_model, save_model
 from .pipelines import (
@@ -150,10 +157,6 @@ def _lr(cfg: RunConfig, fallback: float) -> float:
     return cfg.learning_rate if cfg.learning_rate > 0 else fallback
 
 
-def _input_shape(cfg: RunConfig) -> tuple:
-    return (1 if cfg.grayscale else 3, cfg.image_size, cfg.image_size)
-
-
 # ----------------------------------------------------------------- train
 
 
@@ -183,9 +186,9 @@ def _write_noise_plan(plan, ds: Dataset, path: Path) -> None:
 
 
 def _train_val_arrays(ds: Dataset, cfg: RunConfig, labeled: bool):
-    """Split the train samples into (x, t, val x, val t) arrays, the
-    targets None unless labeled. Validation is skipped (None) when there
-    are too few samples."""
+    """Split the train samples into (x, t, val x, val t) arrays; the
+    targets are the labels when `labeled`, else the inputs themselves.
+    Validation is skipped (None) when there are too few samples."""
     from .data import split_validation
 
     pool = _subset(ds, ds.split_samples("train")) if labeled else _good_split(ds, "train")
@@ -196,7 +199,7 @@ def _train_val_arrays(ds: Dataset, cfg: RunConfig, labeled: bool):
     x = tr.stack()
     vx = va.stack() if va is not None else None
     if not labeled:
-        return x, None, vx, None
+        return x, x, vx, vx
 
     def targets(part: Dataset) -> np.ndarray:
         return np.array([[1.0 if s.label == "defect" else 0.0] for s in part.samples],
@@ -205,71 +208,65 @@ def _train_val_arrays(ds: Dataset, cfg: RunConfig, labeled: bool):
     return x, targets(tr), vx, targets(va) if va is not None else None
 
 
+# the untrained model of each `model` value, from the (C, H, W) input shape
+# and the config
+_BUILDERS = {
+    "cnn": lambda shape, cfg: build_cnn(shape, cfg.seed),
+    "kd-cae": lambda shape, cfg: build_kd_cae(shape, cfg.seed),
+    "ni-cae": lambda shape, cfg: build_ni_cae(shape, cfg.seed),
+    "dcgan": lambda shape, cfg: GanPair(
+        build_generator(shape, cfg.z_dim, cfg.base_channels, cfg.seed),
+        build_discriminator(shape, cfg.base_channels, cfg.seed),
+    ),
+}
+
+
 def cmd_train(ns: argparse.Namespace) -> int:
     cfg = parse_config(ns.config, _collect_overrides(ns))
-    out = cfg.resolved_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    # built first: a shape the model cannot take fails before any image is read
+    shape = (1 if cfg.grayscale else 3, cfg.image_size, cfg.image_size)
+    model = _BUILDERS[cfg.model](shape, cfg)
     # training reads only the train split; on directory data those samples
     # come first either way, so the noise plan's indices do not move
     ds = _read_dataset(cfg, "train")
+    plan = None
     if cfg.noise_train:
         ds, plan = inject_gaussian_noise(
             ds, cfg.noise_fraction, cfg.noise_mean, cfg.noise_variance,
             seed=cfg.seed, target_split="train",
         )
-        _write_noise_plan(plan, ds, out / "noise_plan.csv")
         print(f"noise plan: {len(plan.selected_indices)} train samples perturbed")
 
-    if cfg.model == "dcgan":
-        cfg = _train_dcgan(cfg, ds, out)
-    elif cfg.model == "cnn":
-        cfg = _train_cnn(cfg, ds, out)
-    else:
-        cfg = _train_cae(cfg, ds, out)
-
+    # each writes its files only after training has succeeded, so a failed
+    # run makes no directory and leaves an existing one as it was
+    out = cfg.resolved_out_dir()
+    train_run = _train_dcgan if cfg.model == "dcgan" else _train_detector
+    cfg = train_run(cfg, model, ds, out)
+    if plan is not None:
+        _write_noise_plan(plan, ds, out / "noise_plan.csv")
     atomic.write_bytes(out / "config.cfg", cfg.to_text().encode("utf-8"))
     print(f"run directory: {out}")
     return 0
 
 
-def _train_cnn(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
-    x, t, vx, vt = _train_val_arrays(ds, cfg, labeled=True)
-    if float(t.max()) == float(t.min()):
+def _train_detector(cfg: RunConfig, model, ds: Dataset, out: Path) -> RunConfig:
+    """Train a detector and write its files. The CNN fits the labels by bce
+    and keeps the configured cutoff; an autoencoder fits its inputs by mse,
+    and the returned config holds its calibrated thresholds."""
+    cnn = cfg.model == "cnn"
+    x, t, vx, vt = _train_val_arrays(ds, cfg, labeled=cnn)
+    if cnn and float(t.max()) == float(t.min()):
         raise DataError("cnn training needs both classes in the train split")
-    model = build_cnn(_input_shape(cfg), seed=cfg.seed)
     history = train(
-        model, x, t, epochs=cfg.epochs, batch_size=cfg.batch_size, loss_kind="bce",
-        learning_rate=_lr(cfg, 1e-3), val_x=vx, val_t=vt,
-        patience=cfg.patience or None, seed=cfg.seed,
+        model, x, t, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        loss_kind="bce" if cnn else "mse", learning_rate=_lr(cfg, 1e-3),
+        val_x=vx, val_t=vt, patience=cfg.patience or None, seed=cfg.seed,
     )
-    save_model(model, out / "checkpoint.anom")
-    _write_history(history, out / "history.csv")
-    print(f"cnn trained: {history.epochs_run} epochs, best {history.best_epoch}")
-    return cfg
-
-
-def _train_cae(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
-    x, _, vx, _ = _train_val_arrays(ds, cfg, labeled=False)
-    build = build_kd_cae if cfg.model == "kd-cae" else build_ni_cae
-    model = build(_input_shape(cfg), seed=cfg.seed)
-    history = train(
-        model, x, x, epochs=cfg.epochs, batch_size=cfg.batch_size, loss_kind="mse",
-        learning_rate=_lr(cfg, 1e-3), val_x=vx, val_t=vx,
-        patience=cfg.patience or None, seed=cfg.seed,
-    )
-    save_model(model, out / "checkpoint.anom")
-    _write_history(history, out / "history.csv")
     print(f"{cfg.model} trained: {history.epochs_run} epochs, best {history.best_epoch}")
-
-    kde = None
-    if cfg.model == "kd-cae":
-        latents = encode_latent(model, x)
-        kde = fit_kde(latents)
-        with atomic.replacing(out / "kde.npz") as fh:
-            np.savez(fh, latents=kde.latents, bandwidth=kde.bandwidth)
+    kde = fit_kde(encode_latent(model, x)) if cfg.model == "kd-cae" else None
 
     p = cfg.calibration_percentile()
-    if p is not None:
+    if p is not None and not cnn:
         rule = cfg.combine_rule if cfg.model == "kd-cae" else "recon_only"
         calib_x = vx if vx is not None else x
         ts = calibrate_thresholds(model, calib_x, kde=kde, percentile=p, combine_rule=rule)
@@ -279,28 +276,22 @@ def _train_cae(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
         )
         print(f"calibrated thresholds (p={p}): recon {ts.recon_threshold:.6g}"
               + (f", kde {ts.kde_threshold:.6g}" if ts.kde_threshold is not None else ""))
+
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(model, out / "checkpoint.anom")
+    _write_history(history, out / "history.csv")
+    if kde is not None:
+        with atomic.replacing(out / "kde.npz") as fh:
+            np.savez(fh, latents=kde.latents, bandwidth=kde.bandwidth)
     return cfg
 
 
-def _gan_config(cfg: RunConfig) -> GanConfig:
-    return GanConfig(
-        image_size=cfg.image_size,
-        channels=1 if cfg.grayscale else 3,
-        z_dim=cfg.z_dim,
-        base_channels=cfg.base_channels,
-        k_disc_steps=cfg.k_disc_steps,
-        lr_generator=_lr(cfg, 2e-4),
-        lr_discriminator=_lr(cfg, 2e-4),
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-
-
-def _train_dcgan(cfg: RunConfig, ds: Dataset, out: Path) -> RunConfig:
-    gcfg = _gan_config(cfg)
+def _train_dcgan(cfg: RunConfig, pair: GanPair, ds: Dataset, out: Path) -> RunConfig:
     x = to_gan_range(_good_split(ds, "train").stack())
-    pair = build_pair(gcfg)
-    train_gan(pair, x, cfg.steps)
+    lr = _lr(cfg, 2e-4)
+    train_gan(pair, x, cfg.steps, batch_size=cfg.batch_size, k_disc_steps=cfg.k_disc_steps,
+              lr_generator=lr, lr_discriminator=lr, seed=cfg.seed)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(pair.generator, out / "generator.anom")
     save_model(pair.discriminator, out / "discriminator.anom")
     pair.history.save_csv(out / "history.csv")

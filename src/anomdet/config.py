@@ -88,6 +88,8 @@ class RunConfig:
             shape = self.data_root.split(":", 1)[1]
             if shape not in ("disk", "rect"):
                 raise ConfigError(f"synthetic spec must be synthetic:disk|rect, got {self.data_root!r}")
+            if not self.grayscale:
+                raise ConfigError("synthetic data is grayscale only; set grayscale = on")
         return self
 
     def calibration_percentile(self) -> Optional[float]:

@@ -18,92 +18,70 @@ from ..errors import ConfigError
 from ..nn import LayerSpec, ModelGraph
 
 __all__ = [
-    "GanConfig", "GanStepRecord", "GanHistory", "GanPair",
-    "build_generator", "build_discriminator", "build_pair",
+    "GanStepRecord", "GanHistory", "GanPair", "build_generator", "build_discriminator",
 ]
 
 
-def _n_doublings(size: int) -> int:
-    """Number of stride-2 stages between a 4x4 seed map and `size`."""
+def _n_doublings(image_shape: tuple[int, int, int], base_channels: int) -> int:
+    """Number of stride-2 stages between a 4x4 seed map and the image; a
+    shape or width the pair cannot take is a ConfigError."""
+    c, h, w = image_shape
+    if c not in (1, 3):
+        raise ConfigError(f"channels must be 1 or 3, got {c}")
+    if h != w:
+        raise ConfigError(f"dcgan images must be square, got {h}x{w}")
+    if h < 32:
+        raise ConfigError(f"image size must be >= 32, got {h}")
     n = 0
     s = 4
-    while s < size:
+    while s < h:
         s *= 2
         n += 1
-    if s != size:
-        raise ConfigError(f"image size must be a power of two, got {size}")
+    if s != h:
+        raise ConfigError(f"image size must be a power of two, got {h}")
+    if base_channels < 1 or base_channels % (1 << (n - 1)) != 0:
+        raise ConfigError(
+            f"base_channels {base_channels} not a positive number divisible by "
+            f"2^{n - 1} (needed to halve down to the output stage)"
+        )
     return n
 
 
-@dataclass(frozen=True)
-class GanConfig:
-    """Hyperparameters shared by both players."""
-
-    image_size: int = 32
-    channels: int = 1
-    z_dim: int = 100
-    base_channels: int = 64
-    k_disc_steps: int = 1
-    lr_generator: float = 2e-4
-    lr_discriminator: float = 2e-4
-    batch_size: int = 32
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.z_dim < 1:
-            raise ConfigError(f"z_dim must be >= 1, got {self.z_dim}")
-        if self.k_disc_steps < 1:
-            raise ConfigError(f"k_disc_steps must be >= 1, got {self.k_disc_steps}")
-        if self.image_size < 32:
-            raise ConfigError(f"image size must be >= 32, got {self.image_size}")
-        n_up = _n_doublings(self.image_size)
-        if self.base_channels % (1 << (n_up - 1)) != 0:
-            raise ConfigError(
-                f"base_channels {self.base_channels} not divisible by "
-                f"2^{n_up - 1} (needed to halve down to the output stage)"
-            )
-        if self.channels not in (1, 3):
-            raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batchnorm needs it)")
-        if self.lr_generator <= 0 or self.lr_discriminator <= 0:
-            raise ConfigError("learning rates must be positive")
-
-
-def build_generator(config: GanConfig) -> ModelGraph:
+def build_generator(
+    image_shape: tuple[int, int, int], z_dim: int, base_channels: int, seed: int
+) -> ModelGraph:
     """z (z_dim,) -> dense projection -> (base,4,4) -> transpose-conv
     doublings -> tanh image in [-1,1]."""
-    config.validate()
-    n_up = _n_doublings(config.image_size)
-    base = config.base_channels
+    if z_dim < 1:
+        raise ConfigError(f"z_dim must be >= 1, got {z_dim}")
+    n_up = _n_doublings(image_shape, base_channels)
     specs = [
-        LayerSpec("dense", units=base * 16),
-        LayerSpec("reshape", target_shape=(base, 4, 4)),
+        LayerSpec("dense", units=base_channels * 16),
+        LayerSpec("reshape", target_shape=(base_channels, 4, 4)),
         LayerSpec("batchnorm"),
         LayerSpec("activation", activation="relu"),
     ]
-    ch = base
-    for i in range(n_up - 1):
+    ch = base_channels
+    for _ in range(n_up - 1):
         ch //= 2
         specs.append(LayerSpec("conv2d_transpose", filters=ch, kernel=4, stride=2, padding=1))
         specs.append(LayerSpec("batchnorm"))
         specs.append(LayerSpec("activation", activation="relu"))
     specs.append(
-        LayerSpec("conv2d_transpose", filters=config.channels, kernel=4, stride=2, padding=1)
+        LayerSpec("conv2d_transpose", filters=image_shape[0], kernel=4, stride=2, padding=1)
     )
     specs.append(LayerSpec("activation", activation="tanh"))
-    return ModelGraph(
-        specs, (config.z_dim,), rng_seed=config.seed, model_kind="dcgan-generator"
-    )
+    return ModelGraph(specs, (z_dim,), rng_seed=seed, model_kind="dcgan-generator")
 
 
-def build_discriminator(config: GanConfig) -> ModelGraph:
+def build_discriminator(
+    image_shape: tuple[int, int, int], base_channels: int, seed: int
+) -> ModelGraph:
     """Image -> stride-2 conv halvings (leaky relu, batchnorm after the
-    first block) -> dense logit -> sigmoid probability."""
-    config.validate()
-    n_up = _n_doublings(config.image_size)
-    base = config.base_channels
-    ch = base >> (n_up - 1)  # mirror of the generator walk, reversed
+    first block) -> dense logit -> sigmoid probability. Its init draws
+    come from `seed + 1`, so the two players of one seed draw apart."""
+    n_up = _n_doublings(image_shape, base_channels)
+    ch = base_channels >> (n_up - 1)  # mirror of the generator walk, reversed
     specs = [
         LayerSpec("conv2d", filters=ch, kernel=4, stride=2, padding=1),
         LayerSpec("activation", activation="leaky_relu"),
@@ -117,10 +95,7 @@ def build_discriminator(config: GanConfig) -> ModelGraph:
     specs.append(LayerSpec("dense", units=1))
     specs.append(LayerSpec("activation", activation="sigmoid"))
     return ModelGraph(
-        specs,
-        (config.channels, config.image_size, config.image_size),
-        rng_seed=config.seed + 1,
-        model_kind="dcgan-discriminator",
+        specs, image_shape, rng_seed=seed + 1, model_kind="dcgan-discriminator"
     )
 
 
@@ -155,9 +130,5 @@ class GanPair:
 
     generator: ModelGraph
     discriminator: ModelGraph
-    config: GanConfig
     history: GanHistory = field(default_factory=GanHistory)
 
-
-def build_pair(config: GanConfig) -> GanPair:
-    return GanPair(build_generator(config), build_discriminator(config), config)

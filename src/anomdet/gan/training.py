@@ -3,7 +3,7 @@ update on the non-saturating objective."""
 
 import numpy as np
 
-from ..errors import DataError, ShapeError
+from ..errors import ConfigError, DataError, ShapeError
 from ..nn.optim import RmsProp
 from ..rng import stream
 from .losses import discriminator_loss_grads, generator_loss_grad
@@ -42,42 +42,47 @@ class _BatchCycler:
         return out
 
 
-def train_gan(pair: GanPair, images: np.ndarray, steps: int) -> GanPair:
+def train_gan(pair: GanPair, images: np.ndarray, steps: int, *, batch_size: int,
+              k_disc_steps: int = 1, lr_generator: float = 2e-4,
+              lr_discriminator: float = 2e-4, seed: int = 0) -> GanPair:
     """Run `steps` alternating updates on `images` (already in [-1,1]).
 
-    Each step takes `pair.config.k_disc_steps` discriminator updates
-    followed by one generator update; both players use rmsprop at their
-    configured rates. History is appended per step. A non-finite loss
-    aborts the run, restores the last snapshot (taken every
-    `SNAPSHOT_EVERY` steps), and stamps `history.aborted_at`.
+    Each step takes `k_disc_steps` discriminator updates followed by one
+    generator update, each on `batch_size` images or latents; both players
+    use rmsprop at their own rates. The image shape is the discriminator's
+    input shape and the latent width the generator's. History is appended
+    per step. A non-finite loss aborts the run, restores the last snapshot
+    (taken every `SNAPSHOT_EVERY` steps), and stamps `history.aborted_at`.
     """
-    cfg = pair.config
-    cfg.validate()
+    if k_disc_steps < 1:
+        raise ConfigError(f"k_disc_steps must be >= 1, got {k_disc_steps}")
+    if batch_size < 2:
+        raise ConfigError("batch_size must be >= 2 (batchnorm needs it)")
+    gen, disc = pair.generator, pair.discriminator
     x = np.asarray(images, dtype=np.float32)
-    expect = (cfg.channels, cfg.image_size, cfg.image_size)
+    expect = disc.input_shape
     if x.ndim != 4 or x.shape[1:] != expect:
         raise ShapeError(f"images must be (N,{expect[0]},{expect[1]},{expect[2]}), got {x.shape}")
-    if x.shape[0] < cfg.batch_size:
-        raise DataError(f"need at least one batch of {cfg.batch_size} images, got {x.shape[0]}")
+    if x.shape[0] < batch_size:
+        raise DataError(f"need at least one batch of {batch_size} images, got {x.shape[0]}")
     if float(x.min()) < -1.0 or float(x.max()) > 1.0:
         raise DataError("images must be rescaled to [-1,1] before GAN training")
     if steps == 0:
         return pair
 
-    gen, disc = pair.generator, pair.discriminator
-    z_rng = stream(cfg.seed, "gan-z")
-    cycler = _BatchCycler(x.shape[0], cfg.batch_size, stream(cfg.seed, "gan-batch"))
-    opt_g = RmsProp(lr=cfg.lr_generator)
-    opt_d = RmsProp(lr=cfg.lr_discriminator)
-    m = cfg.batch_size
+    z_rng = stream(seed, "gan-z")
+    cycler = _BatchCycler(x.shape[0], batch_size, stream(seed, "gan-batch"))
+    opt_g = RmsProp(lr=lr_generator)
+    opt_d = RmsProp(lr=lr_discriminator)
+    z_shape = (batch_size, *gen.input_shape)
 
     good = (gen.snapshot(), disc.snapshot())
     start = len(pair.history.records)
     for s in range(start + 1, start + steps + 1):
         j_d = mean_real = 0.0
-        for _ in range(cfg.k_disc_steps):
+        for _ in range(k_disc_steps):
             real = x[cycler.take()]
-            z = z_rng.standard_normal((m, cfg.z_dim)).astype(np.float32)
+            z = z_rng.standard_normal(z_shape).astype(np.float32)
             fake = gen.forward(z, mode="train")
             caches_r: list = []
             caches_f: list = []
@@ -91,7 +96,7 @@ def train_gan(pair: GanPair, images: np.ndarray, steps: int) -> GanPair:
             opt_d.step(disc.params, grads_r)
             mean_real = float(d_real.mean())
 
-        z = z_rng.standard_normal((m, cfg.z_dim)).astype(np.float32)
+        z = z_rng.standard_normal(z_shape).astype(np.float32)
         caches_g: list = []
         caches_d: list = []
         fake = gen.forward(z, mode="train", caches=caches_g)

@@ -14,7 +14,14 @@ import numpy as np
 
 import oracles
 from anomdet.data import Dataset, ImageSample, generate_synthetic_set, inject_gaussian_noise, split_validation
-from anomdet.gan import GanConfig, build_pair, generate_samples, to_gan_range, train_gan
+from anomdet.gan import (
+    GanPair,
+    build_discriminator,
+    build_generator,
+    generate_samples,
+    to_gan_range,
+    train_gan,
+)
 from anomdet.gan.losses import discriminator_loss_grads, generator_loss_grad
 from anomdet.metrics import ConfusionCounts, confusion_counts, f1_score, roc_auc
 from anomdet.nn import LayerSpec, ModelGraph, bce, load_model, mse, save_model
@@ -364,6 +371,9 @@ def test_a5_optimal_discriminator(criterion):
 # ------------------------------------------------------------------ A6
 
 
+A6_BATCH = 32
+
+
 def _a6_run():
     ds = generate_synthetic_set("disk", 100, 2, 0.5, 32, seed=41)
     x = to_gan_range(np.stack([s.pixels[0] for s in ds.split_samples("train")
@@ -371,10 +381,10 @@ def _a6_run():
     # learning rates from the equilibrium sweep: symmetric 2e-4 lets the
     # discriminator saturate, which would pass the pooled-mean band only
     # degenerately
-    config = GanConfig(image_size=32, channels=1, base_channels=64, batch_size=32,
-                       lr_generator=2e-4, lr_discriminator=3e-5, k_disc_steps=1, seed=606)
-    pair = build_pair(config)
-    train_gan(pair, x, 2000)
+    pair = GanPair(build_generator((1, 32, 32), 100, 64, seed=606),
+                   build_discriminator((1, 32, 32), 64, seed=606))
+    train_gan(pair, x, 2000, batch_size=A6_BATCH, k_disc_steps=1,
+              lr_generator=2e-4, lr_discriminator=3e-5, seed=606)
     return pair
 
 
@@ -385,7 +395,7 @@ def test_a6_dcgan_smoke(criterion):
     d_real = float(np.mean([r.mean_d_real for r in tail]))
     d_fake = float(np.mean([r.mean_d_fake for r in tail]))
     pooled = 0.5 * (d_real + d_fake)
-    imgs = generate_samples(pair.generator, 16, 123, pair.config.batch_size)
+    imgs = generate_samples(pair.generator, 16, 123, A6_BATCH)
     std = float(imgs.std())
 
     again = _a6_run()

@@ -14,7 +14,7 @@ import pytest
 
 from anomdet.cli import main
 from anomdet.data.codec import write_pgm
-from anomdet.gan import GanConfig, build_generator
+from anomdet.gan import build_generator
 from anomdet.metrics import EvalReport
 from anomdet.nn import save_model
 
@@ -303,6 +303,64 @@ def test_detector_nan_loss_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     assert not (out / "config.cfg").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "cnn", "--image-size", "16"],  # five pools need 32 px
+    ["--model", "kd-cae", "--image-size", "40"],  # not a multiple of 16
+    ["--model", "ni-cae", "--image-size", "48"],  # not a multiple of 32
+    ["--model", "dcgan", "--image-size", "48"],  # not a power of two
+    ["--model", "dcgan", "--base-channels", "6"],  # not divisible by 2^3 at 64 px
+    ["--model", "dcgan", "--z-dim", "0"],
+    ["--model", "kd-cae", "--grayscale", "off"],  # synthetic images are grayscale
+], ids=["cnn-size", "kd-cae-size", "ni-cae-size", "dcgan-size", "dcgan-base-channels",
+        "dcgan-z-dim", "synthetic-rgb"])
+def test_bad_model_settings_exit_1_before_reading_data(tmp_path, monkeypatch, capsys, args):
+    import anomdet.cli as cli
+
+    def no_data(*a, **k):
+        raise AssertionError("data read before the config and model were checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic_set", no_data)
+    monkeypatch.setattr(cli, "load_image_dir", no_data)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+NI_ARGS = [
+    "--model", "ni-cae", "--data-root", "synthetic:disk", "--image-size", "32",
+    "--n-train", "10", "--n-test", "4", "--epochs", "1", "--batch-size", "4",
+    "--noise-train", "on", "--noise-fraction", "0.5",
+]
+
+
+@pytest.mark.parametrize("change,code", [
+    (["--image-size", "48"], 1),  # ni-cae takes multiples of 32
+    (["--model", "cnn"], 2),  # the train split holds good images only
+    ("nan-loss", 3),
+], ids=["config", "data", "numeric"])
+def test_failed_train_leaves_the_run_directory_as_it_was(tmp_path, monkeypatch, change, code):
+    import anomdet.pipelines.training as training
+
+    out = tmp_path / "run"
+    assert main(["train", *NI_ARGS, "--seed", "1", "--out", str(out)]) == 0
+    assert main(["eval", "--run", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "noise_plan.csv" in before
+    if change == "nan-loss":
+        loss_eval = training.loss_eval
+        monkeypatch.setattr(training, "loss_eval",
+                            lambda y, t, kind: (math.nan, loss_eval(y, t, kind)[1]))
+        change = []
+    # a different seed draws a different noise plan, so a stray write would show
+    for target in (out, tmp_path / "fresh"):
+        assert main(["train", *NI_ARGS, *change, "--seed", "2", "--out", str(target)]) == code
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_dcgan_nan_loss_restores_snapshot_and_exits_0(tmp_path, monkeypatch, capsys):
     import anomdet.gan.training as gan_training
 
@@ -319,8 +377,7 @@ def test_dcgan_nan_loss_restores_snapshot_and_exits_0(tmp_path, monkeypatch, cap
     assert rc == 0
     assert "dcgan aborted at step 1; snapshot restored" in capsys.readouterr().out
     fresh = tmp_path / "fresh.anom"
-    save_model(build_generator(GanConfig(image_size=32, z_dim=16, base_channels=8,
-                                         batch_size=4, seed=7)), fresh)
+    save_model(build_generator((1, 32, 32), 16, 8, seed=7), fresh)
     assert (out / "generator.anom").read_bytes() == fresh.read_bytes()
     assert (out / "history.csv").read_text() == "step,j_d,j_g,mean_d_real,mean_d_fake\n"
 

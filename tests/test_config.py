@@ -104,6 +104,16 @@ def test_validation_errors():
     assert cfg.learning_rate == 0.0 and cfg.patience == 0
 
 
+
+def test_synthetic_data_needs_grayscale():
+    for shape in ("disk", "rect"):
+        with pytest.raises(ConfigError, match="grayscale only"):
+            parse_config(overrides={"model": "kd-cae", "data_root": f"synthetic:{shape}",
+                                    "grayscale": "off"})
+    colour = parse_config(overrides={"model": "kd-cae", "data_root": "some/dir",
+                                     "grayscale": "off"})
+    assert colour.grayscale is False  # directory data may be RGB
+
 def test_echo_round_trips(tmp_path):
     cfg = parse_config(overrides={
         "model": "ni-cae", "image_size": "96", "noise_train": "on",

@@ -8,10 +8,9 @@ import pytest
 from anomdet.data import generate_synthetic_set, read_pgm
 from anomdet.errors import ConfigError, DataError, ShapeError
 from anomdet.gan import (
-    GanConfig,
+    GanPair,
     build_discriminator,
     build_generator,
-    build_pair,
     contact_sheet,
     from_gan_range,
     generate_samples,
@@ -28,14 +27,20 @@ from gan_toy import (
 )
 from oracles import fd_gradient, rel_err
 
-SMALL = GanConfig(image_size=32, base_channels=8, batch_size=4, seed=0)
+SHAPE = (1, 32, 32)
+BATCH = 4  # the small pair's training and sampling batch
+
+
+def small_pair():
+    """A 32 px pair of base width 8 and the default z width of 100."""
+    return GanPair(build_generator(SHAPE, 100, 8, 0), build_discriminator(SHAPE, 8, 0))
 
 
 # ---------------------------------------------------------------- builders
 
 
 def test_generator_output_shape_and_range():
-    g = build_generator(SMALL)
+    g = build_generator(SHAPE, 100, 8, 0)
     z = np.random.default_rng(0).standard_normal((3, 100)).astype(np.float32)
     y = g.forward(z)
     assert y.shape == (3, 1, 32, 32)
@@ -43,7 +48,7 @@ def test_generator_output_shape_and_range():
 
 
 def test_generator_sensitive_to_single_coordinate():
-    g = build_generator(SMALL)
+    g = build_generator(SHAPE, 100, 8, 0)
     rng = np.random.default_rng(1)
     z = rng.standard_normal((1, 100)).astype(np.float32)
     z2 = z.copy()
@@ -54,7 +59,7 @@ def test_generator_sensitive_to_single_coordinate():
 
 
 def test_discriminator_range_and_init_midpoint():
-    d = build_discriminator(SMALL)
+    d = build_discriminator(SHAPE, 8, 0)
     x = np.random.default_rng(2).uniform(-1, 1, (4, 1, 32, 32)).astype(np.float32)
     p = d.forward(x)
     assert np.all((p > 0) & (p < 1))
@@ -63,8 +68,8 @@ def test_discriminator_range_and_init_midpoint():
 
 
 def test_architecture_lint():
-    g = build_generator(SMALL)
-    d = build_discriminator(SMALL)
+    g = build_generator(SHAPE, 100, 8, 0)
+    d = build_discriminator(SHAPE, 8, 0)
     g_kinds = [s.kind for s in g.specs]
     d_kinds = [s.kind for s in d.specs]
     assert "maxpool2d" not in g_kinds and "maxpool2d" not in d_kinds
@@ -79,21 +84,31 @@ def test_architecture_lint():
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="z_dim"):
-        GanConfig(z_dim=0).validate()
+        build_generator(SHAPE, 0, 8, 0)
+    for bad in (lambda s, b: build_generator(s, 100, b, 0),
+                lambda s, b: build_discriminator(s, b, 0)):
+        with pytest.raises(ConfigError, match="power of two"):
+            bad((1, 48, 48), 8)
+        with pytest.raises(ConfigError, match=">= 32"):
+            bad((1, 16, 16), 8)
+        with pytest.raises(ConfigError, match="square"):
+            bad((1, 32, 64), 8)
+        with pytest.raises(ConfigError, match="channels must be 1 or 3"):
+            bad((2, 32, 32), 8)
+        with pytest.raises(ConfigError, match="divisible"):
+            bad(SHAPE, 6)
+        with pytest.raises(ConfigError, match="divisible"):
+            bad(SHAPE, 0)
+    x = disk_batch()
     with pytest.raises(ConfigError, match="k_disc_steps"):
-        GanConfig(k_disc_steps=0).validate()
-    with pytest.raises(ConfigError, match="power of two"):
-        GanConfig(image_size=48).validate()
-    with pytest.raises(ConfigError, match=">= 32"):
-        GanConfig(image_size=16).validate()
-    with pytest.raises(ConfigError, match="divisible"):
-        GanConfig(base_channels=6).validate()
+        train_gan(small_pair(), x, 1, batch_size=BATCH, k_disc_steps=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        train_gan(small_pair(), x, 1, batch_size=1)
 
 
 def test_discriminator_loss_gradient_full_fd():
     """d/dtheta of J_D through the whole discriminator passes central FD."""
-    cfg = GanConfig(image_size=32, base_channels=4, batch_size=2, seed=3)
-    d = build_discriminator(cfg)
+    d = build_discriminator(SHAPE, 4, seed=3)
     for k in d.params:
         d.params[k] = d.params[k].astype(np.float64)
     rng = np.random.default_rng(4)
@@ -189,17 +204,17 @@ def disk_batch(n=12, size=32, seed=9):
 
 
 def test_train_zero_steps_is_identity():
-    pair = build_pair(SMALL)
+    pair = small_pair()
     before = {k: v.copy() for k, v in pair.generator.params.items()}
-    train_gan(pair, disk_batch(), 0)
+    train_gan(pair, disk_batch(), 0, batch_size=BATCH)
     for k in before:
         np.testing.assert_array_equal(pair.generator.params[k], before[k])
     assert pair.history.records == []
 
 
 def test_train_records_history():
-    pair = build_pair(SMALL)
-    train_gan(pair, disk_batch(), 4)
+    pair = small_pair()
+    train_gan(pair, disk_batch(), 4, batch_size=BATCH)
     h = pair.history
     assert [r.step for r in h.records] == [1, 2, 3, 4]
     for r in h.records:
@@ -211,8 +226,8 @@ def test_train_records_history():
 def test_train_bitwise_deterministic():
     runs = []
     for _ in range(2):
-        pair = build_pair(SMALL)
-        train_gan(pair, disk_batch(), 3)
+        pair = small_pair()
+        train_gan(pair, disk_batch(), 3, batch_size=BATCH)
         runs.append(pair)
     a, b = runs
     for k in a.generator.params:
@@ -223,11 +238,11 @@ def test_train_bitwise_deterministic():
 
 
 def test_train_nan_aborts_and_restores():
-    pair = build_pair(SMALL)
+    pair = small_pair()
     init = {k: v.copy() for k, v in pair.generator.params.items()}
     x = disk_batch()
     x[:, 0, 0, 0] = np.nan  # sails past the range check, poisons every batch
-    train_gan(pair, x, 3)
+    train_gan(pair, x, 3, batch_size=BATCH)
     assert pair.history.aborted_at == 1
     assert pair.history.records == []
     for k in init:
@@ -235,13 +250,13 @@ def test_train_nan_aborts_and_restores():
 
 
 def test_train_rejects_out_of_range_and_bad_shape():
-    pair = build_pair(SMALL)
+    pair = small_pair()
     with pytest.raises(DataError, match=r"\[-1,1\]"):
-        train_gan(pair, np.full((8, 1, 32, 32), 1.5, dtype=np.float32), 1)
+        train_gan(pair, np.full((8, 1, 32, 32), 1.5, dtype=np.float32), 1, batch_size=BATCH)
     with pytest.raises(ShapeError, match="images"):
-        train_gan(pair, np.zeros((8, 1, 16, 16), dtype=np.float32), 1)
+        train_gan(pair, np.zeros((8, 1, 16, 16), dtype=np.float32), 1, batch_size=BATCH)
     with pytest.raises(DataError, match="at least one batch"):
-        train_gan(pair, np.zeros((2, 1, 32, 32), dtype=np.float32), 1)
+        train_gan(pair, np.zeros((2, 1, 32, 32), dtype=np.float32), 1, batch_size=BATCH)
 
 
 def test_range_maps_round_trip():
@@ -252,8 +267,8 @@ def test_range_maps_round_trip():
 
 
 def test_history_csv_round_trip(tmp_path):
-    pair = build_pair(SMALL)
-    train_gan(pair, disk_batch(), 2)
+    pair = small_pair()
+    train_gan(pair, disk_batch(), 2, batch_size=BATCH)
     path = tmp_path / "history.csv"
     pair.history.save_csv(path)
     lines = path.read_text().splitlines()
@@ -338,45 +353,45 @@ def test_fit_toy_discriminator_learns_direction():
 
 
 def test_generate_zero_samples():
-    pair = build_pair(SMALL)
-    out = generate_samples(pair.generator, 0, 1, SMALL.batch_size)
+    pair = small_pair()
+    out = generate_samples(pair.generator, 0, 1, BATCH)
     assert out.shape == (0, 1, 32, 32)
 
 
 def test_generate_deterministic_and_in_range():
-    pair = build_pair(SMALL)
-    a = generate_samples(pair.generator, 3, 2, SMALL.batch_size)
-    b = generate_samples(pair.generator, 3, 2, SMALL.batch_size)
+    pair = small_pair()
+    a = generate_samples(pair.generator, 3, 2, BATCH)
+    b = generate_samples(pair.generator, 3, 2, BATCH)
     np.testing.assert_array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
-    c = generate_samples(pair.generator, 3, 3, SMALL.batch_size)
+    c = generate_samples(pair.generator, 3, 3, BATCH)
     assert not np.array_equal(a, c)
 
 
 def test_generate_in_batches_matches_one_forward(monkeypatch):
     # the default width (base_channels 64, a 100 -> 1024 dense projection),
     # as `anomdet generate` runs it
-    pair = build_pair(GanConfig(image_size=32, batch_size=8, seed=0))
-    bs = pair.config.batch_size
+    generator = build_generator(SHAPE, 100, 64, seed=0)
+    bs = 8
     n = 2 * bs + 5
-    z = stream(6, "gan-sample").standard_normal((n, pair.config.z_dim)).astype(np.float32)
-    whole = from_gan_range(pair.generator.forward(z, mode="eval"))
+    z = stream(6, "gan-sample").standard_normal((n, 100)).astype(np.float32)
+    whole = from_gan_range(generator.forward(z, mode="eval"))
     rows = []
-    forward = pair.generator.forward
+    forward = generator.forward
 
     def counted(x, *args, **kwargs):
         rows.append(x.shape[0])
         return forward(x, *args, **kwargs)
 
-    monkeypatch.setattr(pair.generator, "forward", counted)
-    got = generate_samples(pair.generator, n, 6, bs)
+    monkeypatch.setattr(generator, "forward", counted)
+    got = generate_samples(generator, n, 6, bs)
     assert rows == [bs, bs, 5]  # no forward sees more than one batch
     np.testing.assert_array_equal(got.view(np.uint32), whole.view(np.uint32))
 
 
 def test_generate_writes_files(tmp_path):
-    pair = build_pair(SMALL)
-    generate_samples(pair.generator, 5, 4, SMALL.batch_size, out_dir=tmp_path)
+    pair = small_pair()
+    generate_samples(pair.generator, 5, 4, BATCH, out_dir=tmp_path)
     files = sorted((tmp_path / "samples").glob("sample_*.pgm"))
     assert len(files) == 5
     img = read_pgm(files[0])
